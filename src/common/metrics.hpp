@@ -62,29 +62,13 @@ void metricsHistogramObserve(const std::string &name, double value,
 void metricsHistogramDefine(const std::string &name,
                             const std::vector<double> &upper_bounds);
 
-/**
- * Merge pre-aggregated histogram data — per-bucket count deltas
- * (including the +Inf overflow slot), a sum delta and a count delta —
- * into the instance (name, labels). A name never seen locally adopts
- * @p bounds as its ladder; a later merge whose bounds disagree (or a
- * sticky-kind conflict) drops the sample and counts a type conflict.
- * The fleet control plane uses this to fold shard histogram snapshots
- * into the merged registry without replaying observations.
- */
-void metricsHistogramMergeDelta(
-    const std::string &name, const MetricLabels &labels,
-    const std::vector<double> &bounds,
-    const std::vector<std::uint64_t> &count_deltas, double sum_delta,
-    std::uint64_t count_delta);
-
 /** Drop every recorded metric (tests; batch boundaries). */
 void metricsReset();
 
 /** Number of distinct metric instances currently recorded. */
 std::size_t metricsInstanceCount();
 
-/** Samples dropped so far because a name was re-used with another type
- *  (or an incompatible histogram ladder was merged). */
+/** Samples dropped so far because a name was re-used with another type. */
 std::uint64_t metricsTypeConflicts();
 
 /**

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cooperative SIGINT/SIGTERM shutdown for sweeps and the service.
+ * Cooperative SIGINT/SIGTERM shutdown for sweeps.
  *
  * The crash handler (crash_handler.hpp) covers *fatal* signals; an
  * operator's Ctrl-C or a systemd stop is different — it should end the
@@ -17,8 +17,7 @@
  * so the sweep drains to a clean end: journal records written,
  * telemetry artifacts flushed by the normal end-of-sweep path, and the
  * process exits 128+signal (130 for SIGINT, 143 for SIGTERM) like a
- * conventional well-behaved daemon. The sweep service uses the same
- * flag to stop admitting requests and drain.
+ * conventional well-behaved daemon.
  */
 #ifndef EVRSIM_COMMON_SHUTDOWN_HPP
 #define EVRSIM_COMMON_SHUTDOWN_HPP
@@ -45,9 +44,9 @@ int shutdownSignal();
 int shutdownExitCode(int fallback);
 
 /**
- * Inject a shutdown request as if @p signal had been delivered — the
- * service uses it to drain programmatically, tests use it to exercise
- * the cooperative path without racing a real signal delivery.
+ * Inject a shutdown request as if @p signal had been delivered — tests
+ * use it to exercise the cooperative path without racing a real signal
+ * delivery.
  */
 void requestShutdown(int signal);
 

@@ -28,8 +28,6 @@ errorCodeName(ErrorCode code)
         return "INVARIANT_VIOLATION";
       case ErrorCode::Cancelled:
         return "CANCELLED";
-      case ErrorCode::ResourceExhausted:
-        return "RESOURCE_EXHAUSTED";
     }
     return "UNKNOWN";
 }

@@ -41,13 +41,9 @@ enum class ErrorCode {
     /** A pipeline invariant failed under EVRSIM_VALIDATE=strict; not
      *  transient — the same inputs will violate it again. */
     InvariantViolation,
-    /** The work was shed before it started (cooperative shutdown, a
-     *  draining service). Nothing about the job itself is wrong. */
+    /** The work was shed before it started (cooperative shutdown).
+     *  Nothing about the job itself is wrong. */
     Cancelled,
-    /** A bounded resource (admission queue, per-client quota) is full.
-     *  The structured answer to overload: back off and retry, or go
-     *  elsewhere — never queue unboundedly. */
-    ResourceExhausted,
 };
 
 /** Stable name for an ErrorCode ("DATA_LOSS"). */
@@ -102,11 +98,6 @@ class Status
     cancelled(std::string msg)
     {
         return {ErrorCode::Cancelled, std::move(msg)};
-    }
-    static Status
-    resourceExhausted(std::string msg)
-    {
-        return {ErrorCode::ResourceExhausted, std::move(msg)};
     }
 
     bool ok() const { return code_ == ErrorCode::Ok; }

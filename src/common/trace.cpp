@@ -52,7 +52,6 @@ struct TraceEvent {
     std::uint64_t dur_ns = 0;  ///< complete events only
     std::int64_t value = INT64_MIN; ///< args.value when != INT64_MIN
     std::string detail;        ///< args.detail when non-empty
-    std::uint64_t trace_id = 0; ///< args.trace_id when nonzero
 };
 
 /** One thread's recording state. Owned jointly by the thread (via a
@@ -81,24 +80,10 @@ struct ThreadBuf {
     }
 };
 
-/** Events adopted from a remote process (one lane per pid_tag).
- *  Timestamps are already rebased onto the local clock at ingest. */
-struct RemoteLane {
-    int pid_tag = 0;
-    std::string process_name;
-    std::vector<TraceShippedEvent> events;
-};
-
-/** Cap on adopted remote events (newest-wins, like the local rings). */
-constexpr std::size_t kRemoteEventCap = 262144;
-
 struct Global {
     std::mutex mu;
     TraceConfig config;
     std::vector<std::shared_ptr<ThreadBuf>> threads;
-    std::vector<RemoteLane> remotes;
-    std::uint64_t remote_events = 0;  ///< adopted (pre-cap) count
-    std::uint64_t remote_dropped = 0; ///< rejected past the cap
     int next_tid = 1;
     std::chrono::steady_clock::time_point epoch =
         std::chrono::steady_clock::now();
@@ -114,7 +99,6 @@ global()
 
 thread_local std::shared_ptr<ThreadBuf> tls_buf;
 thread_local int tls_depth = 0;
-thread_local TraceContext tls_context;
 
 /** Categories whose spans feed the totals accumulator. */
 std::atomic<unsigned> g_totals_mask{0};
@@ -243,71 +227,15 @@ appendEvent(std::string &out, const TraceEvent &e, int pid, int tid)
         out += ",\"dur\":";
         appendUs(out, e.dur_ns);
     }
-    if (e.value != INT64_MIN || !e.detail.empty() || e.trace_id != 0) {
+    if (e.value != INT64_MIN || !e.detail.empty()) {
         out += ",\"args\":{";
-        bool first = true;
-        if (e.value != INT64_MIN) {
+        if (e.value != INT64_MIN)
             out += "\"value\":" + std::to_string(e.value);
-            first = false;
-        }
         if (!e.detail.empty()) {
-            if (!first)
+            if (e.value != INT64_MIN)
                 out += ',';
             out += "\"detail\":";
             appendEscaped(out, e.detail);
-            first = false;
-        }
-        if (e.trace_id != 0) {
-            if (!first)
-                out += ',';
-            out += "\"trace_id\":";
-            appendEscaped(out, traceIdHex(e.trace_id));
-        }
-        out += '}';
-    }
-    out += '}';
-}
-
-/** Same layout as appendEvent, for an adopted (shipped) event. */
-void
-appendShippedEvent(std::string &out, const TraceShippedEvent &e, int pid)
-{
-    out += "{\"name\":";
-    appendEscaped(out, e.name);
-    out += ",\"cat\":";
-    appendEscaped(out, e.cat);
-    out += ",\"ph\":\"";
-    out += e.phase;
-    out += "\"";
-    if (e.phase == 'i')
-        out += ",\"s\":\"t\"";
-    out += ",\"pid\":" + std::to_string(pid);
-    out += ",\"tid\":" + std::to_string(e.tid);
-    out += ",\"ts\":";
-    appendUs(out, e.ts_ns);
-    if (e.phase == 'X') {
-        out += ",\"dur\":";
-        appendUs(out, e.dur_ns);
-    }
-    if (e.value != INT64_MIN || !e.detail.empty() || e.trace_id != 0) {
-        out += ",\"args\":{";
-        bool first = true;
-        if (e.value != INT64_MIN) {
-            out += "\"value\":" + std::to_string(e.value);
-            first = false;
-        }
-        if (!e.detail.empty()) {
-            if (!first)
-                out += ',';
-            out += "\"detail\":";
-            appendEscaped(out, e.detail);
-            first = false;
-        }
-        if (e.trace_id != 0) {
-            if (!first)
-                out += ',';
-            out += "\"trace_id\":";
-            appendEscaped(out, traceIdHex(e.trace_id));
         }
         out += '}';
     }
@@ -444,9 +372,6 @@ traceConfigure(const TraceConfig &config)
         t->ring.clear();
         t->count = 0;
     }
-    g.remotes.clear();
-    g.remote_events = 0;
-    g.remote_dropped = 0;
     if (config.enabled() && !g.atexit_armed) {
         g.atexit_armed = true;
         std::atexit(atexitWrite);
@@ -550,54 +475,6 @@ traceInstant(TraceCat cat, const char *name)
     traceInstant(cat, name, std::string());
 }
 
-void
-traceContextSet(const TraceContext &ctx)
-{
-    tls_context = ctx;
-}
-
-void
-traceContextClear()
-{
-    tls_context = TraceContext{};
-}
-
-TraceContext
-traceContextCurrent()
-{
-    return tls_context;
-}
-
-std::string
-traceIdHex(std::uint64_t id)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(id));
-    return buf;
-}
-
-std::uint64_t
-traceIdParse(const std::string &hex)
-{
-    if (hex.size() != 16)
-        return 0;
-    std::uint64_t id = 0;
-    for (char c : hex) {
-        std::uint64_t digit;
-        if (c >= '0' && c <= '9')
-            digit = static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            digit = static_cast<std::uint64_t>(c - 'a' + 10);
-        else if (c >= 'A' && c <= 'F')
-            digit = static_cast<std::uint64_t>(c - 'A' + 10);
-        else
-            return 0;
-        id = (id << 4) | digit;
-    }
-    return id;
-}
-
 std::vector<TraceShippedEvent>
 traceCollect(std::uint64_t since_ns)
 {
@@ -629,46 +506,10 @@ traceCollect(std::uint64_t since_ns)
             s.phase = e.phase;
             s.ts_ns = e.ts_ns - since_ns;
             s.dur_ns = e.dur_ns;
-            s.value = e.value;
-            s.detail = e.detail;
-            s.tid = t->tid;
-            s.trace_id = e.trace_id;
             out.push_back(std::move(s));
         }
     }
     return out;
-}
-
-void
-traceIngestRemote(int pid_tag, const std::string &process_name,
-                  std::uint64_t base_ns,
-                  const std::vector<TraceShippedEvent> &events)
-{
-    if (!traceActive() || events.empty())
-        return;
-    Global &g = global();
-    std::lock_guard<std::mutex> lock(g.mu);
-    RemoteLane *lane = nullptr;
-    for (RemoteLane &l : g.remotes) {
-        if (l.pid_tag == pid_tag) {
-            lane = &l;
-            break;
-        }
-    }
-    if (!lane) {
-        g.remotes.push_back(RemoteLane{pid_tag, process_name, {}});
-        lane = &g.remotes.back();
-    }
-    for (const TraceShippedEvent &e : events) {
-        if (g.remote_events >= kRemoteEventCap) {
-            ++g.remote_dropped;
-            continue;
-        }
-        TraceShippedEvent adopted = e;
-        adopted.ts_ns += base_ns;
-        lane->events.push_back(std::move(adopted));
-        ++g.remote_events;
-    }
 }
 
 void
@@ -682,7 +523,6 @@ traceInstant(TraceCat cat, const char *name, std::string detail)
     e.phase = 'i';
     e.ts_ns = traceNowNs();
     e.detail = std::move(detail);
-    e.trace_id = tls_context.trace_id;
     threadBuf().append(std::move(e));
 }
 
@@ -700,7 +540,6 @@ traceComplete(TraceCat cat, const char *name, std::uint64_t start_ns,
     e.dur_ns = dur_ns;
     e.detail = std::move(detail);
     e.value = value;
-    e.trace_id = tls_context.trace_id;
     threadBuf().append(std::move(e));
 }
 
@@ -745,7 +584,6 @@ TraceSpan::~TraceSpan()
     e.dur_ns = dur;
     e.value = value_;
     e.detail = std::move(detail_);
-    e.trace_id = tls_context.trace_id;
     threadBuf().append(std::move(e));
 }
 
@@ -755,16 +593,12 @@ traceWrite()
     Global &g = global();
     std::string path;
     std::vector<std::shared_ptr<ThreadBuf>> threads;
-    std::vector<RemoteLane> remotes;
-    std::uint64_t remote_dropped = 0;
     {
         std::lock_guard<std::mutex> lock(g.mu);
         if (!g.config.enabled())
             return {};
         path = g.config.path;
         threads = g.threads;
-        remotes = g.remotes;
-        remote_dropped = g.remote_dropped;
     }
 
     int pid = static_cast<int>(::getpid());
@@ -796,21 +630,6 @@ traceWrite()
         if (t->count > kRingCapacity)
             dropped += t->count - kRingCapacity;
     }
-    // Adopted remote lanes: each pid_tag renders as its own process so
-    // shard spans sit beside (and, timestamp-wise, inside) the local
-    // dispatch spans that shipped them.
-    for (const RemoteLane &lane : remotes) {
-        if (lane.events.empty())
-            continue;
-        out += ",\n";
-        appendMetadata(out, "process_name", lane.pid_tag, 0,
-                       lane.process_name);
-        for (const TraceShippedEvent &e : lane.events) {
-            out += ",\n";
-            appendShippedEvent(out, e, lane.pid_tag);
-        }
-    }
-    dropped += remote_dropped;
     out += "\n],\"displayTimeUnit\":\"ms\",\"droppedEvents\":" +
            std::to_string(dropped) + "}\n";
 

@@ -164,36 +164,8 @@ void traceTotalsReset();
 std::vector<TraceTotal> traceTotals();
 
 /**
- * Ambient trace context (Dapper-style). The control plane stamps a
- * {trace_id, parent_span} pair on every dispatched run; the executing
- * side installs it as the calling thread's ambient context, and every
- * event recorded while it is set carries the trace id (emitted as a
- * 16-hex-digit args.trace_id). A zero trace_id means "no context".
- */
-struct TraceContext {
-    std::uint64_t trace_id = 0;
-    std::uint64_t parent_span = 0;
-};
-
-/** Install @p ctx as the calling thread's ambient trace context. */
-void traceContextSet(const TraceContext &ctx);
-
-/** Clear the calling thread's ambient trace context. */
-void traceContextClear();
-
-/** The calling thread's ambient trace context (zero when unset). */
-TraceContext traceContextCurrent();
-
-/** Format a trace/span id as the canonical 16-hex-digit wire string. */
-std::string traceIdHex(std::uint64_t id);
-
-/** Parse a 16-hex-digit id; 0 on malformed input. */
-std::uint64_t traceIdParse(const std::string &hex);
-
-/**
- * One event in shippable (process-independent) form: names and
- * categories are owned strings, timestamps are relative to an agreed
- * base so the receiver can rebase them onto its own clock.
+ * One recorded event copied out of the tracer: names and categories are
+ * owned strings and the timestamp is relative to the collection base.
  */
 struct TraceShippedEvent {
     std::string name;
@@ -201,31 +173,15 @@ struct TraceShippedEvent {
     char phase = 'X';          ///< 'X' complete, 'i' instant
     std::uint64_t ts_ns = 0;   ///< relative to the collection base
     std::uint64_t dur_ns = 0;  ///< complete events only
-    std::int64_t value = INT64_MIN;
-    std::string detail;
-    int tid = 1;               ///< recording thread ordinal
-    std::uint64_t trace_id = 0;
 };
 
 /**
  * Snapshot every local event recorded at or after @p since_ns (a
  * traceNowNs() value), with timestamps rebased so ts_ns = 0 at
- * @p since_ns. The shard side uses this to ship one run's spans back
- * on the result frame. Empty when tracing is disabled.
+ * @p since_ns. Lets a caller inspect the spans of one measured phase
+ * without writing a trace file. Empty when tracing is disabled.
  */
 std::vector<TraceShippedEvent> traceCollect(std::uint64_t since_ns);
-
-/**
- * Adopt foreign events into this process's trace under a synthetic
- * pid lane. @p pid_tag keys the lane (stable per remote process slot),
- * @p process_name labels it, and @p base_ns (a local traceNowNs()
- * value) rebases the shipped timestamps onto the local clock — the
- * control plane passes the dispatch span's start so shard spans land
- * inside it. No-op when tracing is disabled.
- */
-void traceIngestRemote(int pid_tag, const std::string &process_name,
-                       std::uint64_t base_ns,
-                       const std::vector<TraceShippedEvent> &events);
 
 /** Record an instant event (a point in time, no duration). */
 void traceInstant(TraceCat cat, const char *name);

@@ -88,8 +88,7 @@ statusFromJson(const Json &j, Status &out)
 
     // Codes travel by stable name, not enum value, so a document is
     // readable even if the enum is ever reordered.
-    for (int c = 0; c <= static_cast<int>(ErrorCode::ResourceExhausted);
-         ++c) {
+    for (int c = 0; c <= static_cast<int>(ErrorCode::Cancelled); ++c) {
         ErrorCode ec = static_cast<ErrorCode>(c);
         if (name.value() == errorCodeName(ec)) {
             out = ec == ErrorCode::Ok ? Status() : Status(ec, text.value());

@@ -168,15 +168,12 @@ class SweepHeartbeat
     std::thread thread_; ///< last member: starts after state is ready
 };
 
-} // namespace
-
 /**
  * Per-run metrics adoption: every FrameStats counter (and the nested
  * memory sub-object), labeled by (workload, config), plus the run's
- * energy total. Field names track run_result.cpp's serialization table
- * automatically — a counter added there shows up here unprompted.
- * Public so the fleet shard serve loop records the same series its
- * control plane aggregates.
+ * energy total and the wall-time histogram. Field names track
+ * run_result.cpp's serialization table automatically — a counter added
+ * there shows up here unprompted.
  */
 void
 recordRunMetrics(const std::string &alias, const std::string &config,
@@ -204,6 +201,8 @@ recordRunMetrics(const std::string &alias, const std::string &config,
         }
     }
 }
+
+} // namespace
 
 GpuConfig
 BenchParams::gpuConfig() const

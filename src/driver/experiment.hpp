@@ -157,16 +157,6 @@ Result<BenchParams> benchParamsFromEnvChecked();
 /** benchParamsFromEnvChecked() that exits(1) on invalid knobs. */
 BenchParams benchParamsFromEnv();
 
-/**
- * Record one simulated run into the metrics registry: runs/frames/
- * energy counters plus every FrameStats field, labeled by (workload,
- * config), and the wall-time histogram. The experiment runner calls
- * this for its own simulations; fleet shards call it directly so the
- * control plane can aggregate the same series fleet-wide.
- */
-void recordRunMetrics(const std::string &alias, const std::string &config,
-                      const RunResult &result, double wall_ms);
-
 /** One declared simulation of a batch: (workload alias, configuration). */
 struct RunRequest {
     std::string alias;

@@ -1,17 +1,24 @@
 /**
  * @file
  * Tests for the driver layer: JSON round trips, RunResult persistence,
- * SimConfig validation, energy-event mapping and the experiment
- * runner's on-disk cache.
+ * SimConfig validation, energy-event mapping, the experiment
+ * runner's on-disk cache, sweep-journal replay and resume, and
+ * cooperative shutdown.
  */
 #include <gtest/gtest.h>
+
+#include <signal.h>
+#include <stdlib.h>
 
 #include <cstdio>
 #include <filesystem>
 
+#include "common/shutdown.hpp"
 #include "driver/experiment.hpp"
 #include "driver/report.hpp"
+#include "driver/sweep_journal.hpp"
 #include "support.hpp"
+#include "workloads/registry.hpp"
 
 using namespace evrsim;
 using namespace evrsim::test;
@@ -398,3 +405,153 @@ TEST(Report, TableRejectsMismatchedRows)
     t.addRow({"1", "2"});
     EXPECT_DEATH(t.addRow({"only-one"}), "assertion");
 }
+
+// -------------------------------- Sweep journal and cooperative shutdown --
+
+// Own namespace: these tests run the real workload registry, so their
+// tinyParams() must shadow the mini-workload one above.
+namespace sweep_recovery {
+namespace {
+
+/** Self-deleting scratch directory. */
+struct TempDir {
+    std::string path;
+    TempDir()
+    {
+        char tmpl[] = "/tmp/evrjrnXXXXXX";
+        char *p = ::mkdtemp(tmpl);
+        EXPECT_NE(p, nullptr);
+        path = p ? p : "";
+    }
+    ~TempDir()
+    {
+        if (!path.empty()) {
+            std::error_code ec;
+            std::filesystem::remove_all(path, ec);
+        }
+    }
+};
+
+/** Small, fast, deterministic parameters on the real workload registry. */
+BenchParams
+tinyParams(const std::string &cache_dir)
+{
+    BenchParams p;
+    p.width = 160;
+    p.height = 96;
+    p.frames = 1;
+    p.warmup = 0;
+    p.use_cache = !cache_dir.empty();
+    p.cache_dir = cache_dir;
+    p.jobs = 1;
+    p.heartbeat_ms = 0;
+    p.write_summary = false;
+    p.log_level = LogLevel::Quiet;
+    return p;
+}
+
+} // namespace
+
+TEST(SweepJournalReplay, DuplicateTerminalRecordsLastWinsAndCounted)
+{
+    TempDir dir;
+    std::string path = dir.path + "/sweep.journal";
+
+    RunResult r1;
+    r1.workload = "w";
+    r1.config = "baseline";
+    r1.frames = 1;
+    r1.width = 8;
+    r1.height = 8;
+    r1.image_crc = 111;
+    RunResult r2 = r1;
+    r2.image_crc = 222;
+
+    {
+        SweepJournal j;
+        ASSERT_TRUE(j.open(path).ok());
+        j.recordStart("k");
+        j.recordFinish("k", r1, 1);
+        // Resume-of-a-resume: a second terminal record for the same key.
+        j.recordStart("k");
+        j.recordFinish("k", r2, 2);
+    }
+    Result<SweepJournal::Replay> rep = SweepJournal::replay(path);
+    ASSERT_TRUE(rep.ok());
+    ASSERT_EQ(rep.value().outcomes.count("k"), 1u);
+    EXPECT_EQ(rep.value().outcomes.at("k").result.image_crc, 222u);
+    EXPECT_EQ(rep.value().duplicates, 1u);
+    EXPECT_EQ(rep.value().in_flight, 0u);
+}
+
+TEST(SweepJournalReplay, RunnerResumeSurfacesDuplicateCount)
+{
+    TempDir dir;
+    BenchParams params = tinyParams(dir.path);
+
+    // A real result to journal (also gives us the job key).
+    ExperimentRunner first(workloads::factory(), params);
+    SimConfig baseline = SimConfig::baseline(params.gpuConfig());
+    Result<RunResult> real = first.tryRun("ccs", baseline);
+    ASSERT_TRUE(real.ok());
+    std::string key = first.jobKey("ccs", baseline);
+
+    // Forge a journal with two terminal records for that key, as a
+    // resume-of-a-resume leaves behind.
+    std::string jpath = dir.path + "/sweep.journal";
+    std::filesystem::remove(jpath);
+    {
+        SweepJournal j;
+        ASSERT_TRUE(j.open(jpath).ok());
+        j.recordFinish(key, real.value(), 1);
+        j.recordFinish(key, real.value(), 1);
+    }
+
+    BenchParams resumed = params;
+    resumed.resume = true;
+    resumed.use_cache = true;
+    ExperimentRunner second(workloads::factory(), resumed);
+    Result<RunResult> replayed = second.tryRun("ccs", baseline);
+    ASSERT_TRUE(replayed.ok());
+
+    SweepStats stats = second.sweepStats();
+    EXPECT_EQ(stats.resumed, 1u);
+    EXPECT_EQ(stats.resume_duplicates, 1u);
+    EXPECT_EQ(stats.simulated, 0u); // served from the journal, not re-run
+    EXPECT_EQ(replayed.value().toJson(false).dump(0),
+              real.value().toJson(false).dump(0));
+}
+
+TEST(CooperativeShutdown, ShedsPendingJobsWithCancelledAndExitCode)
+{
+    resetShutdownForTest();
+    EXPECT_FALSE(shutdownRequested());
+    EXPECT_EQ(shutdownExitCode(0), 0);
+
+    requestShutdown(SIGTERM);
+    EXPECT_TRUE(shutdownRequested());
+    EXPECT_EQ(shutdownSignal(), SIGTERM);
+    EXPECT_EQ(shutdownExitCode(0), 143);
+    EXPECT_EQ(shutdownExitCode(1), 143);
+
+    // Jobs not yet started are shed with Cancelled; the batch reports
+    // them as failures and the stats count them.
+    BenchParams p = tinyParams("");
+    ExperimentRunner runner(workloads::factory(), p);
+    SimConfig baseline = SimConfig::baseline(p.gpuConfig());
+    BatchOutcome out = runner.runAllChecked({{"ccs", baseline}});
+    ASSERT_EQ(out.failures.size(), 1u);
+    EXPECT_EQ(out.failures[0].status.code(), ErrorCode::Cancelled);
+    EXPECT_EQ(runner.sweepStats().cancelled, 1u);
+    EXPECT_EQ(runner.sweepStats().simulated, 0u);
+
+    resetShutdownForTest();
+    EXPECT_EQ(shutdownExitCode(0), 0);
+
+    // SIGINT maps to 130.
+    requestShutdown(SIGINT);
+    EXPECT_EQ(shutdownExitCode(0), 130);
+    resetShutdownForTest();
+}
+
+} // namespace sweep_recovery

@@ -179,6 +179,48 @@ TEST_F(MetricsTest, EscapesHostileLabelValues)
               "a\"b\\c\nd");
 }
 
+TEST(PromEscaping, HostileLabelsStayParseable)
+{
+    metricsReset();
+    metricsCounterAdd("evrsim_hostile_total", 3.0,
+                      {{"path", "C:\\tmp\\x"},
+                       {"msg", "say \"hi\"\nbye"},
+                       {"bad-name! 1", "v"}});
+    std::string prom = metricsToProm();
+
+    // Escapes per the exposition format: backslash, quote, newline.
+    EXPECT_NE(prom.find("path=\"C:\\\\tmp\\\\x\""), std::string::npos)
+        << prom;
+    EXPECT_NE(prom.find("msg=\"say \\\"hi\\\"\\nbye\""),
+              std::string::npos)
+        << prom;
+    // Hostile label *names* are sanitized, not emitted raw.
+    EXPECT_NE(prom.find("bad_name__1=\"v\""), std::string::npos) << prom;
+    EXPECT_EQ(prom.find("bad-name"), std::string::npos) << prom;
+
+    // Structural invariant: every line is a comment or name{...} value
+    // with no raw newline or quote imbalance inside the braces.
+    std::size_t start = 0;
+    while (start < prom.size()) {
+        std::size_t nl = prom.find('\n', start);
+        if (nl == std::string::npos)
+            nl = prom.size();
+        std::string line = prom.substr(start, nl - start);
+        start = nl + 1;
+        if (line.empty() || line[0] == '#')
+            continue;
+        int quotes = 0;
+        for (std::size_t i = 0; i < line.size(); ++i) {
+            if (line[i] == '"' && (i == 0 || line[i - 1] != '\\'))
+                ++quotes;
+        }
+        EXPECT_EQ(quotes % 2, 0) << "torn line: " << line;
+        std::size_t close = line.rfind('}');
+        ASSERT_NE(close, std::string::npos) << line;
+        EXPECT_LT(close + 1, line.size()) << line; // trailing value
+    }
+}
+
 /**
  * End to end: a sweep with EVRSIM_METRICS-style recording exports a
  * metrics.json whose totals equal the runner's printed accounting.

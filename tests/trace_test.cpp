@@ -1,10 +1,11 @@
 /**
  * @file
  * Tracer tests: EVRSIM_TRACE parsing, span balance and crash-context
- * bookkeeping, sampling, Chrome trace-event output validity (round-trip
- * through the driver JSON parser), result byte-identity with tracing on
- * vs off, and an end-to-end smoke sweep producing every observability
- * artifact (trace, metrics.json, heartbeat.jsonl, summary.json).
+ * bookkeeping, sampling, traceCollect's since-filter and rebasing,
+ * Chrome trace-event output validity (round-trip through the driver
+ * JSON parser), result byte-identity with tracing on vs off, and an
+ * end-to-end smoke sweep producing every observability artifact
+ * (trace, metrics.json, heartbeat.jsonl, summary.json).
  */
 #include <gtest/gtest.h>
 
@@ -222,6 +223,40 @@ TEST_F(TraceTest, CategoryFilterAndSamplingSelectSpans)
     Json events = loadTraceEvents(cfg.path);
     EXPECT_EQ(countEventsNamed(events, "tile"), 2u); // 1-in-4 of 8
     EXPECT_EQ(countEventsNamed(events, "frame"), 0u);
+}
+
+TEST_F(TraceTest, CollectKeepsEventsSinceBaseAndRebasesThem)
+{
+    auto dir = freshDir("evrsim_trace_collect");
+    traceConfigure(allCategories((dir / "t.json").string()));
+
+    const std::uint64_t since = 1000;
+    traceComplete(TraceCat::Driver, "early", 100, 50);
+    traceComplete(TraceCat::Driver, "just-before", 999, 5);
+    traceComplete(TraceCat::Driver, "at-base", 1000, 10);
+    traceComplete(TraceCat::Stage, "raster", 1500, 200);
+
+    std::vector<TraceShippedEvent> got = traceCollect(since);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].name, "at-base");
+    EXPECT_EQ(got[0].cat, "driver");
+    EXPECT_EQ(got[0].phase, 'X');
+    EXPECT_EQ(got[0].ts_ns, 0u);
+    EXPECT_EQ(got[0].dur_ns, 10u);
+    EXPECT_EQ(got[1].name, "raster");
+    EXPECT_EQ(got[1].cat, "stage");
+    EXPECT_EQ(got[1].ts_ns, 500u);
+    EXPECT_EQ(got[1].dur_ns, 200u);
+
+    // Base 0 keeps every event, timestamps unchanged.
+    got = traceCollect(0);
+    ASSERT_EQ(got.size(), 4u);
+    EXPECT_EQ(got[0].name, "early");
+    EXPECT_EQ(got[0].ts_ns, 100u);
+
+    traceConfigure(TraceConfig{});
+    traceComplete(TraceCat::Driver, "ignored", 2000, 1);
+    EXPECT_TRUE(traceCollect(0).empty());
 }
 
 TEST_F(TraceTest, WriteProducesValidNestedChromeTrace)
