@@ -7,13 +7,13 @@
  *   2.1% / 1.2% / 0.5% overheads.
  *
  * Secondary mode, --bench-speed[=<path>]: measure the simulator's own
- * raw throughput (no result cache, direct GpuSimulator runs) in two
- * legs — the scalar reference raster path and the SoA/SIMD fast path —
- * and emit BENCH_speed.json with sims/s, frames/s and per-stage wall
- * time from the tracer's span totals. With
- * --bench-speed-baseline=<path> the optimized leg's sims/s is gated
- * against the checked-in floor (fail if it regresses more than 25%),
- * which is what the `speed` ctest label runs.
+ * raw throughput (no result cache, direct GpuSimulator runs) on the
+ * production path (EVRSIM_TILE_JOBS honoured) and emit BENCH_speed.json
+ * with sims/s, frames/s, per-stage wall time from the tracer's span
+ * totals and the host it ran on. With --bench-speed-baseline=<path>
+ * the measured sims/s is gated against the checked-in floor (fail if
+ * it regresses more than 25%), which is what the `speed` ctest label
+ * runs.
  */
 #include <cstdio>
 #include <cstring>
@@ -22,16 +22,16 @@
 
 #include "bench_common.hpp"
 #include "common/atomic_file.hpp"
+#include "common/job_pool.hpp"
 #include "driver/gpu_simulator.hpp"
 #include "driver/json.hpp"
-#include "gpu/raster_kernels.hpp"
 
 using namespace evrsim;
 using namespace evrsim::bench;
 
 namespace {
 
-/** One measured throughput leg of --bench-speed. */
+/** The measured throughput leg of --bench-speed. */
 struct SpeedLeg {
     double wall_ms = 0.0;
     int sims = 0;
@@ -50,32 +50,32 @@ struct SpeedLeg {
     }
 };
 
-const char *
-simdLevelName(SimdLevel level)
+/** CPU model name, for comparing BENCH_speed.json across hosts. */
+std::string
+cpuModel()
 {
-    switch (level) {
-      case SimdLevel::Scalar:
-        return "scalar";
-      case SimdLevel::Avx2:
-        return "avx2";
-      case SimdLevel::Neon:
-        return "neon";
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        std::size_t colon = line.find(':');
+        std::size_t start = line.find_first_not_of(" \t", colon + 1);
+        if (colon != std::string::npos && start != std::string::npos)
+            return line.substr(start);
     }
-    return "?";
+    return "unknown";
 }
 
 /**
  * Render every Table III workload under the baseline and EVR configs
  * (the Figure 7 sim set), timed end to end — workload construction and
- * mesh/texture upload included, exactly like a cacheless fig07 sweep.
- * @p scalar selects the scalar leg: reference rasterizer + scalar
- * kernels + serial tiles; otherwise the production path (best SIMD
- * level, EVRSIM_TILE_JOBS honoured).
+ * mesh/texture upload included, exactly like a cacheless fig07 sweep,
+ * with EVRSIM_TILE_JOBS honoured.
  */
 SpeedLeg
-runSpeedLeg(const BenchParams &params, bool scalar)
+runSpeedLeg(const BenchParams &params)
 {
-    forceSimdLevel(scalar ? SimdLevel::Scalar : bestSimdLevel());
     traceTotalsEnable((1u << static_cast<unsigned>(TraceCat::Stage)) |
                       (1u << static_cast<unsigned>(TraceCat::Frame)));
 
@@ -93,8 +93,7 @@ runSpeedLeg(const BenchParams &params, bool scalar)
                 fatal("--bench-speed: unknown workload '%s'",
                       alias.c_str());
             GpuSimulator sim(config);
-            sim.setReferenceRaster(scalar);
-            if (!scalar && params.tile_jobs > 1)
+            if (params.tile_jobs > 1)
                 sim.setTileExecution(nullptr, params.tile_jobs);
             workload->setup(sim);
             for (int f = 0; f < params.warmup + params.frames; ++f) {
@@ -138,21 +137,19 @@ legJson(const SpeedLeg &leg)
 Status
 validateSpeedJson(const Json &doc)
 {
-    for (const char *key : {"schema", "legs", "speedup_frames_per_s"})
+    for (const char *key : {"schema", "host", "legs"})
         if (!doc.find(key))
             return Status::dataLoss(std::string("missing key '") + key +
                                     "'");
-    for (const char *leg : {"scalar", "optimized"}) {
-        const Json *l = doc.at("legs").find(leg);
-        if (!l)
-            return Status::dataLoss(std::string("missing leg '") + leg +
-                                    "'");
-        for (const char *key :
-             {"wall_ms", "sims_per_s", "frames_per_s", "stage_ms"})
-            if (!l->find(key))
-                return Status::dataLoss(std::string("leg '") + leg +
-                                        "' missing key '" + key + "'");
-    }
+    const Json *l = doc.at("legs").find("production");
+    if (!l)
+        return Status::dataLoss("missing leg 'production'");
+    for (const char *key :
+         {"wall_ms", "sims_per_s", "frames_per_s", "stage_ms"})
+        if (!l->find(key))
+            return Status::dataLoss(std::string("leg 'production' "
+                                                "missing key '") +
+                                    key + "'");
     return {};
 }
 
@@ -169,20 +166,10 @@ runBenchSpeed(const std::string &out_path, const std::string &baseline_path)
                 params.width, params.height, params.warmup, params.frames,
                 params.tile_jobs);
 
-    SpeedLeg scalar = runSpeedLeg(params, true);
-    SpeedLeg fast = runSpeedLeg(params, false);
-    SimdLevel fast_level = bestSimdLevel();
-    forceSimdLevel(fast_level); // leave the process on the default path
+    SpeedLeg leg = runSpeedLeg(params);
 
-    double speedup = scalar.framesPerS() > 0.0
-                         ? fast.framesPerS() / scalar.framesPerS()
-                         : 0.0;
-
-    // The checked-in baseline carries the pre-optimization binary's
-    // numbers on the same sim set, so the emitted file records the perf
-    // trajectory — not just the in-binary scalar/fast ratio (the header
-    // inlining that rode along with this work speeds the scalar
-    // reference leg up too, so the in-binary ratio understates it).
+    // The checked-in baseline carries the seed binary's numbers on the
+    // same sim set, so the emitted file records the perf trajectory.
     Json baseline_json;
     bool have_baseline = false;
     if (!baseline_path.empty()) {
@@ -206,18 +193,19 @@ runBenchSpeed(const std::string &out_path, const std::string &baseline_path)
     }
 
     Json doc = Json::object();
-    doc.set("schema", "evrsim-bench-speed-v1");
+    doc.set("schema", "evrsim-bench-speed-v2");
     doc.set("width", params.width);
     doc.set("height", params.height);
     doc.set("warmup", params.warmup);
     doc.set("frames_per_sim", params.frames);
     doc.set("tile_jobs", params.tile_jobs);
-    doc.set("simd", simdLevelName(fast_level));
+    Json host = Json::object();
+    host.set("cpu", cpuModel());
+    host.set("nproc", JobPool::defaultThreads());
+    doc.set("host", std::move(host));
     Json legs = Json::object();
-    legs.set("scalar", legJson(scalar));
-    legs.set("optimized", legJson(fast));
+    legs.set("production", legJson(leg));
     doc.set("legs", std::move(legs));
-    doc.set("speedup_frames_per_s", speedup);
     if (have_baseline) {
         if (const Json *seed = baseline_json.find("seed")) {
             Json traj = Json::object();
@@ -225,7 +213,7 @@ runBenchSpeed(const std::string &out_path, const std::string &baseline_path)
             double seed_fps = seed->at("frames_per_s").asDouble();
             traj.set("seed_frames_per_s", seed_fps);
             traj.set("speedup_vs_seed_frames_per_s",
-                     seed_fps > 0.0 ? fast.framesPerS() / seed_fps : 0.0);
+                     seed_fps > 0.0 ? leg.framesPerS() / seed_fps : 0.0);
             doc.set("trajectory", std::move(traj));
         }
     }
@@ -249,14 +237,8 @@ runBenchSpeed(const std::string &out_path, const std::string &baseline_path)
         return 1;
     }
 
-    std::printf("scalar:    %7.2f frames/s  %6.3f sims/s  (%.0f ms)\n",
-                scalar.framesPerS(), scalar.simsPerS(), scalar.wall_ms);
-    std::printf("optimized: %7.2f frames/s  %6.3f sims/s  (%.0f ms, "
-                "simd=%s)\n",
-                fast.framesPerS(), fast.simsPerS(), fast.wall_ms,
-                simdLevelName(fast_level));
-    std::printf("speedup:   %.2fx frames/s vs the scalar reference path\n",
-                speedup);
+    std::printf("production: %7.2f frames/s  %6.3f sims/s  (%.0f ms)\n",
+                leg.framesPerS(), leg.simsPerS(), leg.wall_ms);
     if (const Json *t = doc.find("trajectory"))
         std::printf("trajectory: %.2fx frames/s vs the seed binary "
                     "(%.2f frames/s, %s)\n",
@@ -291,11 +273,11 @@ runBenchSpeed(const std::string &out_path, const std::string &baseline_path)
         double limit = floor->asDouble() * 0.75;
         std::printf("baseline floor: %.3f sims/s (gate at %.3f)\n",
                     floor->asDouble(), limit);
-        if (fast.simsPerS() < limit) {
+        if (leg.simsPerS() < limit) {
             std::fprintf(stderr,
                          "bench-speed: sims/s regressed >25%%: measured "
                          "%.3f < gate %.3f (floor %.3f from %s)\n",
-                         fast.simsPerS(), limit, floor->asDouble(),
+                         leg.simsPerS(), limit, floor->asDouble(),
                          baseline_path.c_str());
             return 1;
         }

@@ -18,9 +18,9 @@ namespace evrsim {
 namespace {
 
 /**
- * Per-thread tile-rendering scratch: the on-chip tile buffers plus the
- * rasterizer's SoA row buffers, reused across every tile a thread
- * renders so the steady-state hot path performs no heap allocation.
+ * Per-thread tile-rendering scratch: the on-chip tile buffers, reused
+ * across every tile a thread renders so the steady-state hot path
+ * performs no heap allocation.
  * Thread-local (rather than per-pipeline) because tile jobs from
  * several concurrent simulations can share one JobPool worker; every
  * buffer is fully re-initialized per tile, so reuse cannot leak state
@@ -33,7 +33,6 @@ struct TileScratch {
     std::vector<char> contributed;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> blend_journal;
     std::vector<DisplayListEntry> order;
-    RasterScratch raster;
 };
 
 thread_local TileScratch t_scratch;
@@ -62,8 +61,7 @@ RasterPipeline::depthPrepass(const RectI &rect, const Scene &scene,
                              const ParameterBuffer &pb,
                              const std::vector<DisplayListEntry> &order,
                              float clear_depth, std::vector<float> &depth,
-                             FrameStats *charge, TileMemLog *log,
-                             RasterScratch &scratch) const
+                             FrameStats *charge, TileMemLog *log) const
 {
     depth.assign(static_cast<std::size_t>(rect.area()), clear_depth);
     const int w = rect.width();
@@ -121,10 +119,7 @@ RasterPipeline::depthPrepass(const RectI &rect, const Scene &scene,
                     ++ts.depth_buffer_accesses;
                 depth[li] = frag.depth;
         };
-        if (reference_)
-            Rasterizer::rasterize(prim, rect, ts, sink);
-        else
-            Rasterizer::rasterizeFast(prim, rect, ts, scratch, sink);
+        Rasterizer::rasterize(prim, rect, ts, sink);
     }
 }
 
@@ -206,8 +201,7 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
     std::vector<float> &depth = t_scratch.depth;
     if (hooks.oracle_z || hooks.z_prepass) {
         depthPrepass(rect, scene, pb, order, scene.clear_depth, depth,
-                     hooks.z_prepass ? &ts : nullptr, log,
-                     t_scratch.raster);
+                     hooks.z_prepass ? &ts : nullptr, log);
     } else {
         depth.assign(npix, scene.clear_depth);
     }
@@ -325,11 +319,7 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
                                            static_cast<std::uint32_t>(pos));
             }
         };
-        if (reference_)
-            Rasterizer::rasterize(prim, rect, ts, sink);
-        else
-            Rasterizer::rasterizeFast(prim, rect, ts, t_scratch.raster,
-                                      sink);
+        Rasterizer::rasterize(prim, rect, ts, sink);
     }
 
     // Ground truth: a primitive contributed iff it owns a pixel's base

@@ -88,14 +88,6 @@ class RasterPipeline
         tile_jobs_ = tile_jobs;
     }
 
-    /**
-     * Rasterize with the scalar reference path (Rasterizer::rasterize)
-     * instead of the SoA/SIMD fast path. The two are bit-identical by
-     * construction; the reference path exists so tests and the
-     * --bench-speed scalar leg can measure/compare against it.
-     */
-    void setReferenceRaster(bool on) { reference_ = on; }
-
   private:
     /**
      * Render (or skip) one tile, accumulating into @p tile_stats.
@@ -123,8 +115,7 @@ class RasterPipeline
                       const ParameterBuffer &pb,
                       const std::vector<DisplayListEntry> &order,
                       float clear_depth, std::vector<float> &depth,
-                      FrameStats *charge, TileMemLog *log,
-                      RasterScratch &scratch) const;
+                      FrameStats *charge, TileMemLog *log) const;
 
     /** Tile pixel rectangle, clipped to the screen for edge tiles. */
     RectI tileRect(int tile) const;
@@ -138,7 +129,6 @@ class RasterPipeline
     const TimingModel &timing_;
     JobPool *tile_pool_ = nullptr;
     int tile_jobs_ = 1;
-    bool reference_ = false;
 };
 
 } // namespace evrsim

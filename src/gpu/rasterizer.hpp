@@ -13,12 +13,11 @@
 #ifndef EVRSIM_GPU_RASTERIZER_HPP
 #define EVRSIM_GPU_RASTERIZER_HPP
 
-#include <vector>
+#include <cmath>
 
 #include "common/rect.hpp"
 #include "gpu/gpu_stats.hpp"
 #include "gpu/primitive.hpp"
-#include "gpu/raster_kernels.hpp"
 
 namespace evrsim {
 
@@ -29,33 +28,6 @@ struct Fragment {
     float depth = 0.0f;
     Vec4 color;
     Vec2 uv;
-};
-
-/**
- * Reusable SoA row-pair buffers for Rasterizer::rasterizeFast: coverage
- * masks and barycentric lanes for the two rows of the quad pair being
- * walked. One instance per tile render, reused across all of the tile's
- * primitives, keeps the hot loop allocation-free.
- */
-struct RasterScratch {
-    std::vector<std::uint8_t> mask[2];
-    std::vector<float> w0[2];
-    std::vector<float> w1[2];
-    std::vector<float> w2[2];
-
-    /** Grow the row buffers to hold at least @p width lanes. */
-    void
-    ensure(std::size_t width)
-    {
-        if (mask[0].size() >= width)
-            return;
-        for (int r = 0; r < 2; ++r) {
-            mask[r].resize(width);
-            w0[r].resize(width);
-            w1[r].resize(width);
-            w2[r].resize(width);
-        }
-    }
 };
 
 /** Stateless rasterization routines. */
@@ -108,91 +80,6 @@ class Rasterizer
                             continue;
                         quad_covered = true;
                         interpolate(prim, s, x, y, w0, w1, w2, frag);
-                        ++stats.fragments_generated;
-                        sink(static_cast<const Fragment &>(frag));
-                    }
-                }
-                if (quad_covered)
-                    ++stats.raster_quads;
-            }
-        }
-    }
-
-    /**
-     * SIMD-accelerated rasterize: identical fragments, in the identical
-     * canonical quad-walk order (qy+=2, qx+=2, dy, dx), with identical
-     * quad/fragment counts — only faster. Coverage and barycentrics for
-     * a row pair are computed into @p scratch by the active SIMD kernel
-     * (see raster_kernels.hpp for the bit-identity argument), then
-     * fragments are emitted scalar from the SoA buffers; entirely
-     * uncovered row pairs are skipped wholesale.
-     *
-     * rasterize() above is the scalar reference this path is tested
-     * against; production callers (the raster pipeline) use this one.
-     */
-    template <typename Sink>
-    static void
-    rasterizeFast(const ShadedPrimitive &prim, const RectI &bounds,
-                  FrameStats &stats, RasterScratch &scratch, Sink &&sink)
-    {
-        Setup s;
-        if (!setup(prim, s))
-            return;
-
-        BBox2 bb = BBox2::ofTriangle(s.p0, s.p1, s.p2);
-        RectI range = bounds.intersect(
-            {static_cast<int>(std::floor(bb.min_x)),
-             static_cast<int>(std::floor(bb.min_y)),
-             static_cast<int>(std::floor(bb.max_x)) + 1,
-             static_cast<int>(std::floor(bb.max_y)) + 1});
-        if (range.empty())
-            return;
-
-        const RasterKernels &kernels = rasterKernels();
-        const EdgeSetup es = {s.p0.x, s.p0.y, s.p1.x,     s.p1.y,
-                              s.p2.x, s.p2.y, s.inv_area, s.tl0,
-                              s.tl1,  s.tl2};
-        const int width = range.x1 - range.x0;
-        scratch.ensure(static_cast<std::size_t>(width));
-
-        int qx0 = range.x0 & ~1;
-        int qy0 = range.y0 & ~1;
-
-        Fragment frag;
-        for (int qy = qy0; qy < range.y1; qy += 2) {
-            bool row_valid[2];
-            bool any = false;
-            for (int dy = 0; dy < 2; ++dy) {
-                int y = qy + dy;
-                row_valid[dy] = y >= range.y0 && y < range.y1;
-                if (row_valid[dy])
-                    any |= kernels.row_coverage(
-                        es, range.x0, width, y, scratch.mask[dy].data(),
-                        scratch.w0[dy].data(), scratch.w1[dy].data(),
-                        scratch.w2[dy].data());
-            }
-            // Nothing in either row: skipping the quad walk is
-            // stats-neutral (empty quads never count).
-            if (!any)
-                continue;
-            for (int qx = qx0; qx < range.x1; qx += 2) {
-                bool quad_covered = false;
-                for (int dy = 0; dy < 2; ++dy) {
-                    if (!row_valid[dy])
-                        continue;
-                    int y = qy + dy;
-                    for (int dx = 0; dx < 2; ++dx) {
-                        int x = qx + dx;
-                        if (x < range.x0 || x >= range.x1)
-                            continue;
-                        std::size_t i =
-                            static_cast<std::size_t>(x - range.x0);
-                        if (!scratch.mask[dy][i])
-                            continue;
-                        quad_covered = true;
-                        interpolate(prim, s, x, y, scratch.w0[dy][i],
-                                    scratch.w1[dy][i], scratch.w2[dy][i],
-                                    frag);
                         ++stats.fragments_generated;
                         sink(static_cast<const Fragment &>(frag));
                     }

@@ -4,7 +4,7 @@
  * facade: clears, depth-test semantics (early and late), painter's
  * algorithm for NWOZ primitives, alpha blending, shader discard, the
  * Figure 8 oracle mode, per-tile flush accounting and ground-truth
- * visibility statistics — plus the tile-parallel/SIMD bit-identity
+ * visibility statistics — plus the tile-parallel bit-identity
  * property over the full workload registry.
  */
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <string>
 
 #include "driver/run_result.hpp"
-#include "gpu/raster_kernels.hpp"
 #include "support.hpp"
 #include "workloads/registry.hpp"
 
@@ -346,21 +345,19 @@ TEST_F(RasterTest, TimingProducesNonZeroCycles)
 }
 
 // ---------------------------------------------------------------------------
-// Tile-parallel + SIMD bit-identity property (DESIGN.md section 12).
+// Tile-parallel bit-identity property (DESIGN.md section 12).
 // ---------------------------------------------------------------------------
 
 namespace {
 
 /**
  * Simulate one (workload, config) run and return its RunResult JSON
- * without host-timing fields. @p reference selects the scalar-serial
- * leg: reference rasterizer, scalar kernels, serial tiles; otherwise
- * the production leg renders tiles on a 4-worker pool with the
- * SoA/SIMD fast path.
+ * without host-timing fields. @p tile_jobs > 1 renders tiles on a pool
+ * of that many workers; 1 is the serial path.
  */
 std::string
 runIdentityLeg(const std::string &alias, const SimConfig &config,
-               bool reference)
+               int tile_jobs)
 {
     std::unique_ptr<Workload> workload =
         workloads::factory()(alias, 608, 384);
@@ -369,9 +366,7 @@ runIdentityLeg(const std::string &alias, const SimConfig &config,
         return {};
     }
     GpuSimulator sim(config);
-    sim.setReferenceRaster(reference);
-    if (!reference)
-        sim.setTileExecution(nullptr, 4);
+    sim.setTileExecution(nullptr, tile_jobs);
     workload->setup(sim);
     sim.renderFrame(workload->frame(0)); // warm-up (FVP / signatures)
     sim.resetTotals();
@@ -393,13 +388,12 @@ runIdentityLeg(const std::string &alias, const SimConfig &config,
 } // namespace
 
 // Every Table III workload, under both the baseline and the EVR
-// configuration, rendered with EVRSIM_TILE_JOBS=4 and the SIMD fast
-// path must produce a RunResult JSON — pixels, every stat counter,
-// energy, image CRC — byte-identical to the scalar serial reference
-// path. This is the determinism contract of the tile-parallel design:
-// tile compute is pure, memory accesses replay serially in tile order,
-// and the SoA/SIMD kernels are bit-exact against the scalar rasterizer.
-TEST(TileParallelIdentity, AllWorkloadsMatchScalarSerialByteForByte)
+// configuration, rendered with EVRSIM_TILE_JOBS=4 must produce a
+// RunResult JSON — pixels, every stat counter, energy, image CRC —
+// byte-identical to the serial path. This is the determinism contract
+// of the tile-parallel design: tile compute is pure and memory
+// accesses replay serially in tile order.
+TEST(TileParallelIdentity, AllWorkloadsMatchSerialByteForByte)
 {
     GpuConfig gpu;
     gpu.screen_width = 608;
@@ -407,12 +401,9 @@ TEST(TileParallelIdentity, AllWorkloadsMatchScalarSerialByteForByte)
     for (const std::string &alias : workloads::allAliases()) {
         for (const SimConfig &config :
              {SimConfig::baseline(gpu), SimConfig::evr(gpu)}) {
-            forceSimdLevel(SimdLevel::Scalar);
-            std::string ref = runIdentityLeg(alias, config, true);
-            forceSimdLevel(bestSimdLevel());
-            std::string fast = runIdentityLeg(alias, config, false);
-            EXPECT_EQ(ref, fast) << alias << "/" << config.name;
+            std::string serial = runIdentityLeg(alias, config, 1);
+            std::string parallel = runIdentityLeg(alias, config, 4);
+            EXPECT_EQ(serial, parallel) << alias << "/" << config.name;
         }
     }
-    forceSimdLevel(bestSimdLevel());
 }
