@@ -14,9 +14,9 @@ using namespace evrsim;
 using namespace evrsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    BenchContext ctx(argc, argv);
+    BenchContext ctx;
     printBenchHeader("Ablation",
                      "cycles normalized to baseline: RE / reorder-only / "
                      "filter-only / full EVR",

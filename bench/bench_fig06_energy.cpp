@@ -12,9 +12,9 @@ using namespace evrsim;
 using namespace evrsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    BenchContext ctx(argc, argv);
+    BenchContext ctx;
     printBenchHeader("Figure 6",
                      "GPU+memory energy of EVR normalized to baseline",
                      ctx.params);

@@ -12,9 +12,9 @@ using namespace evrsim;
 using namespace evrsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    BenchContext ctx(argc, argv);
+    BenchContext ctx;
     printBenchHeader("Figure 8",
                      "shaded fragments per pixel: Baseline / EVR reorder / "
                      "Oracle (3D benchmarks)",

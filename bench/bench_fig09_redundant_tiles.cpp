@@ -12,9 +12,9 @@ using namespace evrsim;
 using namespace evrsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    BenchContext ctx(argc, argv);
+    BenchContext ctx;
     printBenchHeader("Figure 9",
                      "redundant (equal) tiles detected: RE / EVR / oracle",
                      ctx.params);

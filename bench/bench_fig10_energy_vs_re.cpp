@@ -11,9 +11,9 @@ using namespace evrsim;
 using namespace evrsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    BenchContext ctx(argc, argv);
+    BenchContext ctx;
     printBenchHeader("Figure 10", "energy of EVR normalized to RE",
                      ctx.params);
 

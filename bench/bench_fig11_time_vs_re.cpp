@@ -14,9 +14,9 @@ using namespace evrsim;
 using namespace evrsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    BenchContext ctx(argc, argv);
+    BenchContext ctx;
     printBenchHeader("Figure 11",
                      "execution time of RE and EVR normalized to baseline",
                      ctx.params);

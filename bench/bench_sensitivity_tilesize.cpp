@@ -17,9 +17,9 @@ using namespace evrsim;
 using namespace evrsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    BenchContext ctx(argc, argv);
+    BenchContext ctx;
     printBenchHeader("Sensitivity",
                      "EVR vs tile size (paper fixes 16x16)", ctx.params);
 

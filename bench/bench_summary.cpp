@@ -168,8 +168,8 @@ runBenchSpeed(const std::string &out_path, const std::string &baseline_path)
 
     SpeedLeg leg = runSpeedLeg(params);
 
-    // The checked-in baseline carries the seed binary's numbers on the
-    // same sim set, so the emitted file records the perf trajectory.
+    // The checked-in baseline carries the sims/s floor the run is gated
+    // against.
     Json baseline_json;
     bool have_baseline = false;
     if (!baseline_path.empty()) {
@@ -206,17 +206,6 @@ runBenchSpeed(const std::string &out_path, const std::string &baseline_path)
     Json legs = Json::object();
     legs.set("production", legJson(leg));
     doc.set("legs", std::move(legs));
-    if (have_baseline) {
-        if (const Json *seed = baseline_json.find("seed")) {
-            Json traj = Json::object();
-            traj.set("source", baseline_path);
-            double seed_fps = seed->at("frames_per_s").asDouble();
-            traj.set("seed_frames_per_s", seed_fps);
-            traj.set("speedup_vs_seed_frames_per_s",
-                     seed_fps > 0.0 ? leg.framesPerS() / seed_fps : 0.0);
-            doc.set("trajectory", std::move(traj));
-        }
-    }
 
     std::string text = doc.dump(2) + "\n";
     if (Status s = atomicWriteFile(out_path, text); !s.ok())
@@ -239,12 +228,6 @@ runBenchSpeed(const std::string &out_path, const std::string &baseline_path)
 
     std::printf("production: %7.2f frames/s  %6.3f sims/s  (%.0f ms)\n",
                 leg.framesPerS(), leg.simsPerS(), leg.wall_ms);
-    if (const Json *t = doc.find("trajectory"))
-        std::printf("trajectory: %.2fx frames/s vs the seed binary "
-                    "(%.2f frames/s, %s)\n",
-                    t->at("speedup_vs_seed_frames_per_s").asDouble(),
-                    t->at("seed_frames_per_s").asDouble(),
-                    baseline_path.c_str());
     std::printf("wrote %s\n", out_path.c_str());
 
     if (have_baseline) {
@@ -309,7 +292,7 @@ main(int argc, char **argv)
     if (speed_mode)
         return runBenchSpeed(speed_out, speed_baseline);
 
-    BenchContext ctx(argc, argv);
+    BenchContext ctx;
     printBenchHeader("Summary",
                      "headline paper claims vs measured (whole suite)",
                      ctx.params);

@@ -16,9 +16,9 @@ using namespace evrsim;
 using namespace evrsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    BenchContext ctx(argc, argv);
+    BenchContext ctx;
     printBenchHeader("Table I",
                      "visibility casuistry across frames (per prim-tile "
                      "pair, EVR prediction vs rendered ground truth)",

@@ -2,12 +2,12 @@
  * @file
  * Durable atomic file publication.
  *
- * The result cache and the sweep journal both need "either the old
- * bytes or the new bytes, never a mix, even across power loss". The
- * classic tmp+rename gives atomicity against concurrent readers and
- * kills, but *not* against power loss: without an fsync of the file the
- * rename can land while the data blocks are still dirty, and without an
- * fsync of the directory the rename itself can be lost. atomicWriteFile
+ * The result cache needs "either the old bytes or the new bytes, never
+ * a mix, even across power loss". The classic tmp+rename gives
+ * atomicity against concurrent readers and kills, but *not* against
+ * power loss: without an fsync of the file the rename can land while
+ * the data blocks are still dirty, and without an fsync of the
+ * directory the rename itself can be lost. atomicWriteFile
  * does all three steps (write+fsync tmp, rename, fsync directory), so a
  * machine that loses power right after it returns still has the entry.
  */

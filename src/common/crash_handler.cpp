@@ -142,8 +142,8 @@ crashHandler(int sig)
     put("=== re-raising with default disposition ===\n");
 
     // Restore the default action and re-raise so the process still dies
-    // of the original signal (correct exit status, core dump, and any
-    // outer supervisor sees the truth).
+    // of the original signal (correct exit status, core dump, and a
+    // parent process or shell sees the truth).
     signal(sig, SIG_DFL);
     raise(sig);
 }

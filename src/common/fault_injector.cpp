@@ -43,8 +43,7 @@ siteFromName(const std::string &name)
     }
     return Status::invalidArgument(
         "unknown fault site '" + name +
-        "' (expected cache-read, cache-write, job-execute, "
-        "scene-mutate, worker-crash or worker-hang)");
+        "' (expected cache-read, cache-write or scene-mutate)");
 }
 
 /** 53-bit mantissa draw in [0, 1) from one mixed word. */
@@ -64,14 +63,8 @@ faultSiteName(FaultSite site)
         return "cache-read";
       case FaultSite::CacheWrite:
         return "cache-write";
-      case FaultSite::JobExecute:
-        return "job-execute";
       case FaultSite::SceneMutate:
         return "scene-mutate";
-      case FaultSite::WorkerCrash:
-        return "worker-crash";
-      case FaultSite::WorkerHang:
-        return "worker-hang";
     }
     return "unknown";
 }

@@ -1,34 +1,23 @@
 /**
  * @file
  * Deterministic fault injection for exercising the sweep's recovery
- * paths (corrupt-cache quarantine, transient-job retry, failure
- * reporting) from ctest, without hand-corrupting files or racing kill
- * signals.
+ * paths (corrupt-cache quarantine, scene validation and degradation,
+ * failure reporting) from ctest, without hand-corrupting files.
  *
  * Faults are enabled through EVRSIM_FAULT, a comma-separated list of
  * `<site>:<rate>:<seed>` triples:
  *
  *   EVRSIM_FAULT=cache-read:1:42            every cache load fails
- *   EVRSIM_FAULT=job-execute:0.25:7         a quarter of job attempts
+ *   EVRSIM_FAULT=scene-mutate:0.25:7        a quarter of frames corrupted
  *   EVRSIM_FAULT=cache-read:1:1,cache-write:1:2
  *
  * Sites:
  *   cache-read    loading an on-disk result entry reports DataLoss
  *                 (the entry is quarantined and re-simulated)
  *   cache-write   publishing a result entry fails (warn, no cache file)
- *   job-execute   a simulation attempt reports Unavailable (transient,
- *                 so the scheduler's bounded retry engages)
  *   scene-mutate  the frame's scene is corrupted by the deterministic
  *                 fuzz mutator before ingestion (exercises the
  *                 EVRSIM_VALIDATE sanitize/degrade paths from benches)
- *   worker-crash  an EVRSIM_ISOLATE=process worker raises SIGSEGV
- *                 before simulating (exercises the supervisor's
- *                 crash-retry-quarantine path); evaluated only inside
- *                 a worker process, keyed by job so every attempt of
- *                 an injected job dies and no other job ever does
- *   worker-hang   an isolated worker spins forever instead of
- *                 simulating, so the parent's hard SIGKILL deadline
- *                 (EVRSIM_JOB_TIMEOUT_MS) must reap it
  *
  * Decisions are a pure function of (site seed, per-site draw counter)
  * via SplitMix64, so a single-threaded sweep injects the *same* faults
@@ -57,12 +46,9 @@ namespace evrsim {
 enum class FaultSite {
     CacheRead = 0,
     CacheWrite = 1,
-    JobExecute = 2,
-    SceneMutate = 3,
-    WorkerCrash = 4,
-    WorkerHang = 5,
+    SceneMutate = 2,
 };
-constexpr int kNumFaultSites = 6;
+constexpr int kNumFaultSites = 3;
 
 /**
  * SplitMix64 finalizer: an uncorrelated u64 from any input. Shared by
@@ -72,11 +58,10 @@ constexpr int kNumFaultSites = 6;
 std::uint64_t mix64(std::uint64_t x);
 
 /**
- * FNV-1a over a string, for keying per-job fault decisions.
+ * FNV-1a over a string, for keying per-workload fault decisions.
  * std::hash<std::string> is implementation-defined, which would make
- * keyed injection differ across standard libraries (and across the
- * parent/worker boundary if they were ever built differently); FNV-1a
- * keeps every string -> decision mapping stable everywhere.
+ * keyed injection differ across standard libraries; FNV-1a keeps every
+ * string -> decision mapping stable everywhere.
  */
 std::uint64_t fnv1a64(const std::string &s);
 

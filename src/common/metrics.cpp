@@ -158,82 +158,6 @@ appendEscaped(std::string &out, const std::string &s)
     out += '"';
 }
 
-/** Prometheus label-value escaping. The text exposition format defines
- *  exactly three escapes inside quoted label values — backslash,
- *  double-quote and newline; everything else passes through verbatim.
- *  Centralized here so hostile workload/config labels can never
- *  tear a quoted value open or smuggle a line break into the output. */
-std::string
-promEscapeLabelValue(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '\\':
-            out += "\\\\";
-            break;
-        case '"':
-            out += "\\\"";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        default:
-            out += c;
-        }
-    }
-    return out;
-}
-
-/** Prometheus label names must match [a-zA-Z_][a-zA-Z0-9_]*. Quoting
- *  is not available for names, so out-of-charset bytes map to '_'
- *  (and a leading digit gets a '_' prefix) rather than being emitted
- *  raw, which would malform every line mentioning the label. */
-std::string
-promSanitizeLabelName(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 1);
-    for (char c : s) {
-        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                  c == '_' || (!out.empty() && c >= '0' && c <= '9');
-        out += ok ? c : '_';
-    }
-    if (out.empty())
-        out = "_";
-    return out;
-}
-
-/** Prometheus label block: {a="x",b="y"} or empty. */
-std::string
-promLabels(const MetricLabels &labels)
-{
-    if (labels.empty())
-        return "";
-    std::string out = "{";
-    bool first = true;
-    for (const auto &kv : labels) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += promSanitizeLabelName(kv.first);
-        out += "=\"";
-        out += promEscapeLabelValue(kv.second);
-        out += '"';
-    }
-    out += '}';
-    return out;
-}
-
-std::string
-promBound(double v)
-{
-    if (std::isinf(v))
-        return "+Inf";
-    return formatNumber(v);
-}
-
 } // namespace
 
 void
@@ -390,51 +314,10 @@ metricsToJson()
     return out;
 }
 
-std::string
-metricsToProm()
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    std::string out;
-    for (const auto &s : r.series) {
-        const Kind kind = r.kinds.at(s.first);
-        out += "# TYPE " + s.first + ' ' + kindName(kind) + '\n';
-        for (const auto &i : s.second) {
-            const Instance &inst = i.second;
-            if (kind == Kind::Histogram) {
-                std::uint64_t cum = 0;
-                for (std::size_t b = 0; b < inst.counts.size(); ++b) {
-                    cum += inst.counts[b];
-                    MetricLabels ls = inst.labels;
-                    ls["le"] = b < inst.bounds.size()
-                                   ? promBound(inst.bounds[b])
-                                   : "+Inf";
-                    out += s.first + "_bucket" + promLabels(ls) + ' ' +
-                           std::to_string(cum) + '\n';
-                }
-                out += s.first + "_sum" + promLabels(inst.labels) + ' ' +
-                       formatNumber(inst.sum) + '\n';
-                out += s.first + "_count" + promLabels(inst.labels) +
-                       ' ' + std::to_string(inst.count) + '\n';
-            } else {
-                out += s.first + promLabels(inst.labels) + ' ' +
-                       formatNumber(inst.value) + '\n';
-            }
-        }
-    }
-    return out;
-}
-
 Status
 metricsWriteJson(const std::string &path)
 {
     return atomicWriteFile(path, metricsToJson());
-}
-
-Status
-metricsWriteProm(const std::string &path)
-{
-    return atomicWriteFile(path, metricsToProm());
 }
 
 } // namespace evrsim

@@ -3,13 +3,12 @@
  * Metrics registry: counters, gauges and histograms with labels.
  *
  * The simulator already counts everything the paper's figures need
- * (FrameStats, memory traffic, driver retry/cache counters), but those
+ * (FrameStats, memory traffic, driver cache counters), but those
  * counts only surface as end-of-sweep tables printed to stdout. The
  * registry gives them a machine-readable home: benches record per-run
  * totals and sweep-level aggregates here, and the experiment layer
- * exports one `metrics.json` (plus a Prometheus-style `metrics.prom`
- * text file) per sweep next to the journal, so `BENCH_*.json`
- * trajectories and dashboards can consume them mechanically.
+ * exports one `metrics.json` per sweep, so `BENCH_*.json` trajectories
+ * can consume them mechanically.
  *
  * Threading: every operation takes one registry mutex. Metrics are
  * recorded at per-run granularity (a few dozen samples per simulation),
@@ -86,13 +85,8 @@ Result<double> metricsValue(const std::string &name,
  */
 std::string metricsToJson();
 
-/** Serialize in Prometheus text exposition format (# TYPE lines,
- *  `name{label="v"} value`, histogram `_bucket`/`_sum`/`_count`). */
-std::string metricsToProm();
-
-/** Write metricsToJson() / metricsToProm() atomically to @p path. */
+/** Write metricsToJson() atomically to @p path. */
 Status metricsWriteJson(const std::string &path);
-Status metricsWriteProm(const std::string &path);
 
 } // namespace evrsim
 

@@ -11,10 +11,7 @@
 #include <signal.h>
 #include <string.h>
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <thread>
 
 namespace evrsim {
 
@@ -47,7 +44,7 @@ installShutdownHandler()
     memset(&sa, 0, sizeof(sa));
     sa.sa_handler = shutdownHandler;
     sigemptyset(&sa.sa_mask);
-    sa.sa_flags = SA_RESTART; // journal/cache writes resume, not fail
+    sa.sa_flags = SA_RESTART; // cache writes resume, not fail
     for (int sig : {SIGINT, SIGTERM}) {
         struct sigaction old;
         if (sigaction(sig, nullptr, &old) == 0 &&
@@ -89,20 +86,6 @@ void
 resetShutdownForTest()
 {
     g_shutdown_signal.store(0);
-}
-
-bool
-interruptibleSleepMs(int ms)
-{
-    int left = ms;
-    while (left > 0) {
-        if (shutdownRequested())
-            return false;
-        int slice = std::min(left, 20);
-        std::this_thread::sleep_for(std::chrono::milliseconds(slice));
-        left -= slice;
-    }
-    return !shutdownRequested();
 }
 
 } // namespace evrsim

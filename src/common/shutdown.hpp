@@ -6,15 +6,14 @@
  * operator's Ctrl-C or a systemd stop is different — it should end the
  * sweep cleanly, not kill it mid-write. Before this module, SIGINT
  * killed a bench with the default disposition: no terminal
- * `"final":true` heartbeat record, no summary.json, no trace flush, no
- * metrics export, and the journal's last record possibly still in
- * flight.
+ * `"final":true` heartbeat record, no summary.json, no trace flush and
+ * no metrics export.
  *
  * installShutdownHandler() arms SIGINT/SIGTERM handlers that only set a
  * flag (async-signal-safe by construction). The experiment scheduler
  * checks the flag before *starting* each job — already-running
  * simulations finish, queued ones are shed with ErrorCode::Cancelled —
- * so the sweep drains to a clean end: journal records written,
+ * so the sweep drains to a clean end: every finished run cached,
  * telemetry artifacts flushed by the normal end-of-sweep path, and the
  * process exits 128+signal (130 for SIGINT, 143 for SIGTERM) like a
  * conventional well-behaved daemon.
@@ -52,14 +51,6 @@ void requestShutdown(int signal);
 
 /** Clear the flag (tests only: isolates cases from each other). */
 void resetShutdownForTest();
-
-/**
- * Sleep @p ms, waking early if a cooperative shutdown arrives (polled
- * in <= 20 ms slices). True when the full nap completed, false when it
- * was interrupted — retry backoffs use this so a Ctrl-C during a long
- * backoff ends the attempt immediately instead of after the nap.
- */
-bool interruptibleSleepMs(int ms);
 
 } // namespace evrsim
 

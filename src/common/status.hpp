@@ -10,18 +10,17 @@
  *  - Status:    *recoverable* conditions inside the sweep machinery —
  *               a corrupt cache entry, an unknown workload alias, an
  *               injected or real I/O fault, a job deadline — which must
- *               degrade one run, never the whole multi-hour sweep.
+ *               cost one run, never the whole multi-hour sweep.
  *
  * Status carries a coarse ErrorCode plus a human-readable message.
  * Result<T> is a Status-or-value union for fallible producers. Both are
  * deliberately minimal (no payloads, no chaining beyond withContext) —
- * just enough structure for the experiment scheduler's retry and
- * failure-report policies to key off code() and isTransient().
+ * just enough structure for the experiment scheduler's quarantine and
+ * failure-report policies to key off code().
  */
 #ifndef EVRSIM_COMMON_STATUS_HPP
 #define EVRSIM_COMMON_STATUS_HPP
 
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -35,11 +34,11 @@ enum class ErrorCode {
     InvalidArgument,  ///< malformed input (env knob, fault spec)
     NotFound,         ///< entity absent (workload alias, cache file)
     DataLoss,         ///< entity present but unusable (corrupt cache)
-    Unavailable,      ///< transient I/O-style failure — worth retrying
+    Unavailable,      ///< I/O failure (e.g. a file could not be published)
     DeadlineExceeded, ///< job exceeded its wall-clock budget
     Internal,         ///< unexpected exception escaping a component
-    /** A pipeline invariant failed under EVRSIM_VALIDATE=strict; not
-     *  transient — the same inputs will violate it again. */
+    /** A pipeline invariant failed under EVRSIM_VALIDATE=strict; the
+     *  same inputs will violate it again. */
     InvariantViolation,
     /** The work was shed before it started (cooperative shutdown).
      *  Nothing about the job itself is wrong. */
@@ -103,13 +102,6 @@ class Status
     bool ok() const { return code_ == ErrorCode::Ok; }
     ErrorCode code() const { return code_; }
     const std::string &message() const { return message_; }
-
-    /**
-     * Whether a retry might succeed. Only Unavailable qualifies:
-     * corrupt data stays corrupt, a missing alias stays missing, and a
-     * run that blew its deadline once will blow it again.
-     */
-    bool isTransient() const { return code_ == ErrorCode::Unavailable; }
 
     /** "DATA_LOSS: message" (or "OK"). */
     std::string
@@ -176,21 +168,6 @@ class Result
   private:
     Status status_;
     T value_{};
-};
-
-/**
- * Exception tagging a failure as transient (retryable) when it crosses a
- * component that communicates by throwing — e.g. a workload whose asset
- * I/O hiccuped. The experiment runner maps it to ErrorCode::Unavailable;
- * every other exception maps to ErrorCode::Internal (no retry).
- */
-class TransientError : public std::runtime_error
-{
-  public:
-    explicit TransientError(const std::string &what)
-        : std::runtime_error(what)
-    {
-    }
 };
 
 } // namespace evrsim

@@ -272,8 +272,6 @@ traceCatName(TraceCat cat)
         return "driver";
     case TraceCat::Cache:
         return "cache";
-    case TraceCat::Worker:
-        return "worker";
     case TraceCat::Frame:
         return "frame";
     case TraceCat::Stage:
@@ -297,7 +295,7 @@ traceConfigFromEnv()
 
     const std::string grammar =
         " (expected <categories>[:<path>] with categories from "
-        "driver,cache,worker,frame,stage,tile or 'all', each optionally "
+        "driver,cache,frame,stage,tile or 'all', each optionally "
         "sampled as <cat>/N)";
 
     std::string cats = text;

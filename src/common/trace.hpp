@@ -7,9 +7,8 @@
  * spans at two altitudes so a slow or faulty sweep is inspectable after
  * the fact in Perfetto / chrome://tracing:
  *
- *  - driver level: job queue wait, per-job execution, cache hit/miss,
- *    retry and quarantine instants, and the fork→exec→reap lifetime of
- *    isolated worker processes (with the child pid as metadata);
+ *  - driver level: job queue wait, per-job execution, and cache
+ *    hit/miss and quarantine instants;
  *  - simulation level: per-frame spans, the pipeline stages inside each
  *    frame (geometry+binning, raster, RE frame end), and — optionally,
  *    and usually sampled — per-tile raster spans.
@@ -26,10 +25,10 @@
  *     registry is only locked to register a thread or to flush.
  *  3. Crash forensics. While a span is active its (category, name) is
  *     pushed onto the crash handler's thread-local span stack, so a
- *     worker that dies mid-stage reports *which* stage killed it.
+ *     run that crashes mid-stage reports *which* stage killed it.
  *
  * Configuration: EVRSIM_TRACE=<categories>[:<path>] where categories is
- * a comma-separated list of {driver, cache, worker, frame, stage, tile}
+ * a comma-separated list of {driver, cache, frame, stage, tile}
  * or "all", each optionally sampled with "/N" (record 1-in-N spans, for
  * hot categories like tile), and path is the output file (default
  * "evrsim_trace.json"). Parsing is strict in the env.hpp spirit: an
@@ -50,9 +49,8 @@ namespace evrsim {
 
 /** Span categories; each is a bit in the enabled mask. */
 enum class TraceCat : unsigned {
-    Driver = 0, ///< scheduler: queue wait, job execution, retries
+    Driver = 0, ///< scheduler: queue wait, job execution
     Cache,      ///< result-cache hits / misses / quarantines
-    Worker,     ///< isolated worker process lifetimes (fork→exec→reap)
     Frame,      ///< one span per rendered frame
     Stage,      ///< pipeline stages inside a frame (geometry, raster, RE)
     Tile,       ///< per-tile raster spans (hot: sample with tile/N)
@@ -69,7 +67,7 @@ const char *traceCatName(TraceCat cat);
 struct TraceConfig {
     unsigned mask = 0; ///< bit per TraceCat; 0 = tracing disabled
     /** Record 1-in-N spans of the category (1 = every span). */
-    unsigned sample[kTraceCatCount] = {1, 1, 1, 1, 1, 1};
+    unsigned sample[kTraceCatCount] = {1, 1, 1, 1, 1};
     std::string path = "evrsim_trace.json";
 
     bool enabled() const { return mask != 0; }

@@ -63,39 +63,4 @@ parseEnvelope(const std::string &text, int expected_schema)
     return unwrapEnvelope(doc.value(), expected_schema);
 }
 
-Json
-statusToJson(const Status &s)
-{
-    Json j = Json::object();
-    j.set("code", errorCodeName(s.code()));
-    j.set("message", s.message());
-    return j;
-}
-
-Status
-statusFromJson(const Json &j, Status &out)
-{
-    const Json *code = j.find("code");
-    const Json *message = j.find("message");
-    if (!code || !message)
-        return Status::dataLoss("status document missing code or message");
-    Result<std::string> name = code->tryAsString();
-    if (!name.ok())
-        return name.status().withContext("status code");
-    Result<std::string> text = message->tryAsString();
-    if (!text.ok())
-        return text.status().withContext("status message");
-
-    // Codes travel by stable name, not enum value, so a document is
-    // readable even if the enum is ever reordered.
-    for (int c = 0; c <= static_cast<int>(ErrorCode::Cancelled); ++c) {
-        ErrorCode ec = static_cast<ErrorCode>(c);
-        if (name.value() == errorCodeName(ec)) {
-            out = ec == ErrorCode::Ok ? Status() : Status(ec, text.value());
-            return {};
-        }
-    }
-    return Status::dataLoss("unknown status code '" + name.value() + "'");
-}
-
 } // namespace evrsim

@@ -1,16 +1,15 @@
 /**
  * @file
- * CRC32-enveloped JSON framing, shared by every place the driver moves
- * a JSON document across a trust boundary: the on-disk result cache,
- * the sweep journal, and the supervisor's worker-response pipe.
+ * CRC32-enveloped JSON framing for the on-disk result cache, the one
+ * place the driver reads back a JSON document it cannot trust.
  *
  * An envelope is `{schema, payload_crc32, payload}`: the schema field
  * guards against a foreign or stale document that happens to land at a
  * current location, and the CRC32 of the payload's canonical
  * re-serialization detects any value-level damage (truncation is
  * caught earlier by the parse). Every failure is DataLoss — the
- * caller's recovery policy (quarantine, drop the journal tail, treat
- * the worker as dead) decides what that costs.
+ * caller's recovery policy (quarantine and re-simulate) decides what
+ * that costs.
  */
 #ifndef EVRSIM_DRIVER_ENVELOPE_HPP
 #define EVRSIM_DRIVER_ENVELOPE_HPP
@@ -34,18 +33,6 @@ Result<Json> unwrapEnvelope(const Json &doc, int expected_schema);
 
 /** Json::tryParse + unwrapEnvelope in one step. */
 Result<Json> parseEnvelope(const std::string &text, int expected_schema);
-
-/**
- * Status <-> JSON, for transporting a worker's (or a journaled run's)
- * failure across a process or crash boundary with its ErrorCode
- * intact — a strict-validation InvariantViolation must arrive as
- * exactly that, not as a generic retryable error.
- *
- * statusFromJson returns Ok with the transported status in @p out, or
- * DataLoss when the document is unusable (out is untouched).
- */
-Json statusToJson(const Status &s);
-Status statusFromJson(const Json &j, Status &out);
 
 } // namespace evrsim
 

@@ -4,8 +4,6 @@
  */
 #include "driver/experiment.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -39,9 +37,6 @@ elapsedMs(std::chrono::steady_clock::time_point since)
         .count();
 }
 
-/** Name of the write-ahead sweep journal inside the cache directory. */
-constexpr const char *kSweepJournalName = "sweep.journal";
-
 /** Clears the calling thread's crash context when a run ends. */
 struct CrashContextGuard {
     ~CrashContextGuard() { crashContextClear(); }
@@ -49,11 +44,11 @@ struct CrashContextGuard {
 
 /**
  * Live sweep telemetry: a timer thread that, every interval, prints a
- * one-line progress status (completed/total, sims/s, ETA, retries,
- * quarantines, cache ratio) and appends the same numbers as one JSON
- * line to heartbeat.jsonl. A terminal record is always appended when
- * the sweep ends, so even a sweep faster than one interval leaves a
- * machine-readable trail; records append (never truncate) so a resumed
+ * one-line progress status (completed/total, sims/s, ETA, failures,
+ * cache ratio) and appends the same numbers as one JSON line to
+ * heartbeat.jsonl. A terminal record is always appended when the sweep
+ * ends, so even a sweep faster than one interval leaves a
+ * machine-readable trail; records append (never truncate) so a re-run
  * sweep extends the same file.
  */
 class SweepHeartbeat
@@ -119,12 +114,11 @@ class SweepHeartbeat
             std::fprintf(
                 stderr,
                 "[sweep] %zu/%zu done (%.0f%%), %.2f sims/s, "
-                "%.1f frames/s, ETA %.0fs, queue %zu, retries %llu, "
-                "failed %llu, cache %.0f%%\n",
+                "%.1f frames/s, ETA %.0fs, queue %zu, failed %llu, "
+                "cache %.0f%%\n",
                 done, total_,
                 total_ > 0 ? 100.0 * done / total_ : 100.0, sims_per_s,
                 frames_per_s, eta_s, pool_.pendingCount(),
-                static_cast<unsigned long long>(s.retries),
                 static_cast<unsigned long long>(s.failed),
                 100.0 * cache_ratio);
         }
@@ -144,11 +138,8 @@ class SweepHeartbeat
         rec.set("disk_hits", s.disk_hits);
         rec.set("memo_hits", s.memo_hits);
         rec.set("cache_ratio", cache_ratio);
-        rec.set("retries", s.retries);
         rec.set("failed", s.failed);
         rec.set("quarantined", s.quarantined);
-        rec.set("crash_quarantined", s.crash_quarantined);
-        rec.set("resumed", s.resumed);
         rec.set("final", final_record);
 
         std::ofstream out(path_, std::ios::app);
@@ -259,26 +250,8 @@ benchParamsFromEnvChecked()
         return s;
     if (present)
         p.job_timeout_ms = static_cast<int>(v);
-    if (Status s = readIntKnob("EVRSIM_JOB_MEM_MB", 0, 1048576, v, present);
-        !s.ok())
-        return s;
-    if (present)
-        p.job_mem_mb = static_cast<int>(v);
-    if (Status s = readIntKnob("EVRSIM_CORRUPT_KEEP", 0, 1000000, v,
-                               present);
-        !s.ok())
-        return s;
-    if (present)
-        p.corrupt_keep = static_cast<int>(v);
 
     int choice = 0;
-    if (Status s = readChoiceKnob("EVRSIM_ISOLATE", {"off", "process"},
-                                  choice, present);
-        !s.ok())
-        return s;
-    if (present)
-        p.isolate = choice == 1 ? IsolateMode::Process : IsolateMode::Off;
-
     if (Status s = readChoiceKnob("EVRSIM_LOG",
                                   {"quiet", "normal", "verbose"}, choice,
                                   present);
@@ -293,8 +266,6 @@ benchParamsFromEnvChecked()
         return s;
     if (present)
         p.heartbeat_ms = static_cast<int>(v);
-    if (const char *res = std::getenv("EVRSIM_RESUME"); res && res[0] == '1')
-        p.resume = true;
 
     Result<ValidationConfig> val = validationFromEnvChecked();
     if (!val.ok())
@@ -308,8 +279,8 @@ benchParamsFromEnvChecked()
     else
         p.cache_dir = ".bench_cache";
 
-    // Placement knobs resolved after cache_dir so "1" can mean "next to
-    // the journal".
+    // Placement knobs resolved after cache_dir so "1" can mean "the
+    // cache dir".
     if (const char *m = std::getenv("EVRSIM_METRICS")) {
         std::string where = m;
         if (where == "1")
@@ -349,74 +320,6 @@ ExperimentRunner::ExperimentRunner(WorkloadFactory factory,
     : factory_(std::move(factory)), params_(params), fault_(faults)
 {
     EVRSIM_ASSERT(factory_ != nullptr);
-
-    // The sweep journal lives alongside the cache; it also engages with
-    // EVRSIM_NO_CACHE when a resume is explicitly requested, because the
-    // journal (not the cache) is what resume replays.
-    if (!params_.use_cache && !params_.resume)
-        return;
-    std::error_code ec;
-    std::filesystem::create_directories(params_.cache_dir, ec);
-    std::string jpath =
-        (std::filesystem::path(params_.cache_dir) / kSweepJournalName)
-            .string();
-
-    if (params_.resume) {
-        Result<SweepJournal::Replay> replayed = SweepJournal::replay(jpath);
-        if (!replayed.ok()) {
-            warn("EVRSIM_RESUME: cannot replay %s (%s); starting fresh",
-                 jpath.c_str(), replayed.status().toString().c_str());
-        } else {
-            const SweepJournal::Replay &rep = replayed.value();
-            for (const auto &[key, ro] : rep.outcomes) {
-                auto entry = std::make_shared<MemoEntry>();
-                entry->done = true;
-                entry->outcome.attempts = ro.attempts;
-                switch (ro.kind) {
-                case SweepJournal::ReplayedOutcome::Kind::Finished:
-                    entry->outcome.result = ro.result;
-                    break;
-                case SweepJournal::ReplayedOutcome::Kind::Quarantined:
-                    entry->outcome.quarantined = true;
-                    [[fallthrough]];
-                case SweepJournal::ReplayedOutcome::Kind::Failed:
-                    entry->outcome.status = ro.status;
-                    break;
-                }
-                // Journal keys are cache-entry filenames; the memo keys
-                // on the full cache path.
-                memo_.emplace(
-                    (std::filesystem::path(params_.cache_dir) / key)
-                        .string(),
-                    std::move(entry));
-                ++stats_.resumed;
-            }
-            stats_.resume_duplicates +=
-                static_cast<std::uint64_t>(rep.duplicates);
-            if (rep.duplicates > 0)
-                warn("EVRSIM_RESUME: %zu duplicate terminal record(s) in "
-                     "%s (resume-of-a-resume); last record wins",
-                     rep.duplicates, jpath.c_str());
-            if (rep.damaged > 0)
-                warn("EVRSIM_RESUME: dropped %zu damaged journal "
-                     "record(s) from %s (those jobs re-run)",
-                     rep.damaged, jpath.c_str());
-            if (rep.in_flight > 0)
-                warn("EVRSIM_RESUME: %zu job(s) were in flight at the "
-                     "interruption and will re-run",
-                     rep.in_flight);
-        }
-    }
-
-    if (Status s = journal_.open(jpath); !s.ok())
-        warn("sweep journal disabled: %s", s.toString().c_str());
-}
-
-void
-ExperimentRunner::setWorkerLauncher(WorkerLauncher launcher)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    launcher_ = std::move(launcher);
 }
 
 std::string
@@ -452,22 +355,17 @@ Result<RunResult>
 ExperimentRunner::trySimulate(const std::string &alias,
                               const SimConfig &config)
 {
-    // Injected job fault: reported as transient so the retry policy in
-    // computeUncached() engages, exactly like a real I/O hiccup would.
-    if (fault_.shouldFail(FaultSite::JobExecute))
-        return Status::unavailable("injected job-execute fault (" +
-                                   alias + "/" + config.name + ")");
-
     TraceSpan sim_span(TraceCat::Driver, "simulate");
     if (sim_span.active())
         sim_span.setDetail(alias + "/" + config.name);
 
     auto start = std::chrono::steady_clock::now();
 
-    // Cooperative watchdog: a runaway simulation is caught at the next
-    // frame boundary (frames are the natural unit of progress; nothing
-    // inside a frame blocks, so between-frame checks bound the overrun
-    // to one frame's wall-clock).
+    // Cooperative watchdog, checked between frames only: a runaway
+    // simulation is caught at the next frame boundary (frames are the
+    // natural unit of progress; nothing inside a frame blocks, so the
+    // overrun is bounded by one frame's wall-clock). A frame that never
+    // returns is not interrupted.
     auto overDeadline = [&]() {
         return params_.job_timeout_ms > 0 &&
                elapsedMs(start) >
@@ -555,16 +453,6 @@ ExperimentRunner::trySimulate(const std::string &alias,
         r.image_crc = sim.framebuffer().contentCrc();
         r.sim_wall_ms = elapsedMs(start);
         return r;
-    } catch (const TransientError &e) {
-        return Status::unavailable("workload '" + alias +
-                                   "' raised a transient error: " +
-                                   e.what());
-    } catch (const std::bad_alloc &) {
-        // Under process isolation the worker's RLIMIT_AS turns a runaway
-        // allocation into bad_alloc (when the allocator throws before
-        // the OOM killer acts); transient, like any resource exhaustion.
-        return Status::unavailable("workload '" + alias +
-                                   "' ran out of memory");
     } catch (const std::exception &e) {
         return Status::internal("workload '" + alias +
                                 "' threw: " + e.what());
@@ -598,11 +486,11 @@ ExperimentRunner::loadCacheEntry(const std::string &path)
     if (fault_.shouldFail(FaultSite::CacheRead))
         return Status::dataLoss("injected cache-read fault");
 
-    // v3 envelope: {schema, payload_crc32, payload} (driver/envelope.hpp,
-    // shared with the sweep journal and the worker pipe). The schema
-    // field guards against a foreign or stale document that happens to
-    // land at a current filename; the CRC detects any corruption of the
-    // payload bytes (truncation is caught earlier by the parse).
+    // Envelope {schema, payload_crc32, payload} (driver/envelope.hpp).
+    // The schema field guards against a foreign or stale document that
+    // happens to land at a current filename; the CRC detects any
+    // corruption of the payload bytes (truncation is caught earlier by
+    // the parse).
     Result<Json> payload = parseEnvelope(buf.str(), kResultCacheVersion);
     if (!payload.ok())
         return payload.status();
@@ -665,13 +553,12 @@ ExperimentRunner::quarantine(const std::string &path, const Status &why)
          dest.c_str(), why.toString().c_str());
     copies.emplace_back(seq, dest);
 
-    // Cap the pile: a crash-looping or bit-rotting deployment would
-    // otherwise grow one `.corrupt` per damaged read forever. Keep the
-    // newest corrupt_keep copies (highest sequence numbers), evict the
-    // rest, and account for the eviction in the sweep stats.
+    // Cap the pile: a bit-rotting cache would otherwise grow one
+    // `.corrupt` per damaged read forever. Keep the newest kCorruptKeep
+    // copies (highest sequence numbers), evict the rest, and account
+    // for the eviction in the sweep stats.
     std::uint64_t evicted = 0;
-    const std::size_t keep =
-        static_cast<std::size_t>(std::max(params_.corrupt_keep, 0));
+    const std::size_t keep = static_cast<std::size_t>(kCorruptKeep);
     if (copies.size() > keep) {
         std::sort(copies.begin(), copies.end(),
                   [](const auto &a, const auto &b) {
@@ -714,36 +601,6 @@ ExperimentRunner::storeCacheEntry(const std::string &path,
 }
 
 Result<RunResult>
-ExperimentRunner::attemptOnce(const std::string &alias,
-                              const SimConfig &config,
-                              const std::string &path, bool &worker_died)
-{
-    worker_died = false;
-    if (params_.isolate == IsolateMode::Process) {
-        WorkerLauncher launcher;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            launcher = launcher_;
-            if (!launcher && !warned_no_launcher_) {
-                warned_no_launcher_ = true;
-                warn("EVRSIM_ISOLATE=process but no worker launcher is "
-                     "installed; jobs run in-process");
-            }
-        }
-        if (launcher) {
-            WorkerAttempt a =
-                launcher(alias, config,
-                         std::filesystem::path(path).filename().string());
-            worker_died = a.worker_died;
-            if (!a.status.ok())
-                return a.status;
-            return a.result;
-        }
-    }
-    return trySimulate(alias, config);
-}
-
-ExperimentRunner::RunOutcome
 ExperimentRunner::computeUncached(const std::string &alias,
                                   const SimConfig &config,
                                   const std::string &path, bool &from_disk)
@@ -756,7 +613,7 @@ ExperimentRunner::computeUncached(const std::string &alias,
                 traceInstant(TraceCat::Cache, "cache-hit",
                              alias + "/" + config.name);
             from_disk = true;
-            return {cached.value(), Status(), 0};
+            return cached;
         }
         if (traceEnabled(TraceCat::Cache))
             traceInstant(TraceCat::Cache, "cache-miss",
@@ -768,57 +625,17 @@ ExperimentRunner::computeUncached(const std::string &alias,
             quarantine(path, cached.status());
     }
 
-    RunOutcome outcome;
-    int worker_deaths = 0;
-    for (int attempt = 1; attempt <= kJobMaxAttempts; ++attempt) {
-        outcome.attempts = attempt;
-        bool worker_died = false;
-        Result<RunResult> r = [&]() {
-            TraceSpan attempt_span(TraceCat::Driver, "attempt");
-            attempt_span.setValue(attempt);
-            if (attempt_span.active())
-                attempt_span.setDetail(alias + "/" + config.name);
-            return attemptOnce(alias, config, path, worker_died);
-        }();
-        if (worker_died)
-            ++worker_deaths;
-        if (r.ok()) {
-            outcome.result = r.value();
-            outcome.status = Status();
-            if (params_.use_cache)
-                storeCacheEntry(path, outcome.result);
-            return outcome;
-        }
-        outcome.status = r.status();
-        if (!outcome.status.isTransient() || attempt == kJobMaxAttempts)
-            break;
-        if (traceEnabled(TraceCat::Driver))
-            traceInstant(TraceCat::Driver, "retry",
-                         alias + "/" + config.name + " attempt " +
-                             std::to_string(attempt));
-        int backoff_ms = kRetryBaseMs << (attempt - 1);
-        warn("run %s/%s attempt %d/%d failed (%s); retrying in %d ms",
-             alias.c_str(), config.name.c_str(), attempt, kJobMaxAttempts,
-             outcome.status.toString().c_str(), backoff_ms);
-        if (!interruptibleSleepMs(backoff_ms)) {
-            outcome.status = Status::cancelled(
-                "retry abandoned: shutdown requested during backoff "
-                "(last failure: " +
-                outcome.status.message() + ")");
-            break;
-        }
-    }
-    // Every attempt was a hard worker death (crash, deadline SIGKILL,
-    // OOM): the job is crash-quarantined — surfaced in the failure
-    // report and skipped by later requesters via the memo/journal.
-    outcome.quarantined =
-        !outcome.status.ok() && worker_deaths >= kJobMaxAttempts;
-    return outcome;
+    // One attempt: the simulator is deterministic, so a failed run
+    // would fail the same way again. A finished run is published at
+    // once, which is what lets a re-run of an interrupted sweep skip it.
+    Result<RunResult> r = trySimulate(alias, config);
+    if (r.ok() && params_.use_cache)
+        storeCacheEntry(path, r.value());
+    return r;
 }
 
-ExperimentRunner::RunOutcome
-ExperimentRunner::runMemoized(const std::string &alias,
-                              const SimConfig &config)
+Result<RunResult>
+ExperimentRunner::tryRun(const std::string &alias, const SimConfig &config)
 {
     std::string key = cachePath(alias, config);
     const bool metrics_on = !params_.metrics_dir.empty();
@@ -831,8 +648,8 @@ ExperimentRunner::runMemoized(const std::string &alias,
         if (it != memo_.end()) {
             // Either already computed or in flight on another worker;
             // both count as a memo hit for this requester. Failures
-            // memoize too: a triple that exhausted its retries is not
-            // retried again by every later requester.
+            // memoize too: a failed triple is not re-run by every later
+            // requester.
             entry = it->second;
             memo_done_.wait(lock, [&] { return entry->done; });
             ++stats_.memo_hits;
@@ -849,13 +666,9 @@ ExperimentRunner::runMemoized(const std::string &alias,
     }
 
     // We own the computation for this key; everyone else waits on entry.
-    // The journal write-ahead record goes first: a crash between it and
-    // the terminal record replays as "in flight", which re-runs the job.
-    std::string jkey = std::filesystem::path(key).filename().string();
-    journal_.recordStart(jkey);
     bool from_disk = false;
     auto start = std::chrono::steady_clock::now();
-    RunOutcome outcome;
+    Result<RunResult> outcome = RunResult{};
     {
         TraceSpan job_span(TraceCat::Driver, "job");
         if (job_span.active())
@@ -863,23 +676,13 @@ ExperimentRunner::runMemoized(const std::string &alias,
         outcome = computeUncached(alias, config, key, from_disk);
     }
     double wall_ms = elapsedMs(start);
-    if (outcome.status.ok())
-        journal_.recordFinish(jkey, outcome.result, outcome.attempts);
-    else
-        journal_.recordFail(jkey, outcome.status, outcome.attempts,
-                            outcome.quarantined);
 
     {
         std::lock_guard<std::mutex> lock(mu_);
         entry->outcome = outcome;
         entry->done = true;
-        if (outcome.attempts > 1)
-            stats_.retries +=
-                static_cast<std::uint64_t>(outcome.attempts - 1);
-        if (!outcome.status.ok()) {
+        if (!outcome.ok()) {
             ++stats_.failed;
-            if (outcome.quarantined)
-                ++stats_.crash_quarantined;
         } else if (from_disk) {
             ++stats_.disk_hits;
         } else {
@@ -887,13 +690,13 @@ ExperimentRunner::runMemoized(const std::string &alias,
             stats_.frames_simulated +=
                 static_cast<std::uint64_t>(params_.frames);
             stats_.sim_wall_ms += wall_ms;
-            stats_.degraded_tiles += outcome.result.totals.degraded_tiles;
+            stats_.degraded_tiles += outcome.value().totals.degraded_tiles;
             stats_.validate_violations +=
-                outcome.result.totals.validate_violations;
+                outcome.value().totals.validate_violations;
         }
     }
     if (metrics_on) {
-        if (!outcome.status.ok())
+        if (!outcome.ok())
             metricsCounterAdd("evrsim_runs_total", 1,
                               {{"outcome", "failed"}});
         else if (from_disk)
@@ -902,34 +705,21 @@ ExperimentRunner::runMemoized(const std::string &alias,
         else {
             metricsCounterAdd("evrsim_runs_total", 1,
                               {{"outcome", "simulated"}});
-            recordRunMetrics(alias, config.name, outcome.result, wall_ms);
+            recordRunMetrics(alias, config.name, outcome.value(), wall_ms);
         }
-        if (outcome.attempts > 1)
-            metricsCounterAdd("evrsim_retries_total",
-                              static_cast<double>(outcome.attempts - 1));
     }
     memo_done_.notify_all();
     return outcome;
 }
 
-Result<RunResult>
-ExperimentRunner::tryRun(const std::string &alias, const SimConfig &config)
-{
-    RunOutcome outcome = runMemoized(alias, config);
-    if (!outcome.status.ok())
-        return outcome.status;
-    return outcome.result;
-}
-
 RunResult
 ExperimentRunner::run(const std::string &alias, const SimConfig &config)
 {
-    RunOutcome outcome = runMemoized(alias, config);
-    if (!outcome.status.ok())
-        fatal("run %s/%s failed after %d attempt(s): %s", alias.c_str(),
-              config.name.c_str(), outcome.attempts,
-              outcome.status.toString().c_str());
-    return outcome.result;
+    Result<RunResult> outcome = tryRun(alias, config);
+    if (!outcome.ok())
+        fatal("run %s/%s failed: %s", alias.c_str(), config.name.c_str(),
+              outcome.status().toString().c_str());
+    return outcome.value();
 }
 
 BatchOutcome
@@ -959,7 +749,7 @@ ExperimentRunner::runAllChecked(const std::vector<RunRequest> &requests)
                          &completed, i] {
                 // Cooperative shutdown: a job not yet started when the
                 // signal arrived is shed, not simulated — running jobs
-                // finish, the journal and telemetry flush through the
+                // finish (and are cached), telemetry flushes through the
                 // normal end-of-sweep path, and the binary exits
                 // 128+signal.
                 if (shutdownRequested()) {
@@ -980,16 +770,15 @@ ExperimentRunner::runAllChecked(const std::vector<RunRequest> &requests)
                     completed.fetch_add(1, std::memory_order_relaxed);
                     return;
                 }
-                RunOutcome outcome =
-                    runMemoized(requests[i].alias, requests[i].config);
-                if (outcome.status.ok()) {
-                    batch.results[i] = outcome.result;
+                Result<RunResult> outcome =
+                    tryRun(requests[i].alias, requests[i].config);
+                if (outcome.ok()) {
+                    batch.results[i] = outcome.value();
                 } else {
                     std::lock_guard<std::mutex> lock(failures_mu);
                     batch.failures.push_back(
                         {i, requests[i].alias, requests[i].config.name,
-                         outcome.status, outcome.attempts,
-                         outcome.quarantined});
+                         outcome.status(), 1, false});
                 }
                 completed.fetch_add(1, std::memory_order_relaxed);
             });
@@ -997,7 +786,7 @@ ExperimentRunner::runAllChecked(const std::vector<RunRequest> &requests)
         pool.wait();
         active_pool_ = nullptr;
         heartbeat.reset(); // appends the terminal heartbeat record
-        // runMemoized() catches everything a job can raise, so escaped
+        // tryRun() catches everything a job can raise, so escaped
         // exceptions here are scheduler bugs, not workload faults.
         EVRSIM_ASSERT(pool.failureCount() == 0);
     }
@@ -1018,11 +807,9 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
     BatchOutcome batch = runAllChecked(requests);
     if (!batch.ok()) {
         const RunFailure &first = batch.failures.front();
-        fatal("%zu of %zu runs failed; first: %s/%s after %d attempt(s): "
-              "%s",
+        fatal("%zu of %zu runs failed; first: %s/%s: %s",
               batch.failures.size(), requests.size(), first.alias.c_str(),
-              first.config.c_str(), first.attempts,
-              first.status.toString().c_str());
+              first.config.c_str(), first.status.toString().c_str());
     }
     return std::move(batch.results);
 }
@@ -1071,17 +858,9 @@ ExperimentRunner::writeMetricsArtifacts()
     metricsGaugeSet("evrsim_sweep_batch_wall_ms", s.batch_wall_ms);
     metricsGaugeSet("evrsim_sweep_quarantined",
                     static_cast<double>(s.quarantined));
-    metricsGaugeSet("evrsim_sweep_retries",
-                    static_cast<double>(s.retries));
     metricsGaugeSet("evrsim_sweep_failed", static_cast<double>(s.failed));
-    metricsGaugeSet("evrsim_sweep_crash_quarantined",
-                    static_cast<double>(s.crash_quarantined));
     metricsGaugeSet("evrsim_sweep_corrupt_evicted",
                     static_cast<double>(s.corrupt_evicted));
-    metricsGaugeSet("evrsim_sweep_resumed",
-                    static_cast<double>(s.resumed));
-    metricsGaugeSet("evrsim_sweep_resume_duplicates",
-                    static_cast<double>(s.resume_duplicates));
     metricsGaugeSet("evrsim_sweep_cancelled",
                     static_cast<double>(s.cancelled));
     metricsGaugeSet("evrsim_sweep_degraded_tiles",
@@ -1093,11 +872,9 @@ ExperimentRunner::writeMetricsArtifacts()
 
     std::error_code ec;
     std::filesystem::create_directories(params_.metrics_dir, ec);
-    std::filesystem::path dir(params_.metrics_dir);
-    if (Status st = metricsWriteJson((dir / "metrics.json").string());
-        !st.ok())
-        return st;
-    return metricsWriteProm((dir / "metrics.prom").string());
+    return metricsWriteJson(
+        (std::filesystem::path(params_.metrics_dir) / "metrics.json")
+            .string());
 }
 
 } // namespace evrsim

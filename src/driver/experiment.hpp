@@ -25,7 +25,6 @@
 #define EVRSIM_DRIVER_EXPERIMENT_HPP
 
 #include <condition_variable>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,21 +37,11 @@
 #include "common/validate.hpp"
 #include "driver/run_result.hpp"
 #include "driver/sim_config.hpp"
-#include "driver/sweep_journal.hpp"
 #include "driver/workload.hpp"
 
 namespace evrsim {
 
 class JobPool;
-
-/**
- * Failure-domain granularity for simulation jobs (EVRSIM_ISOLATE).
- * Off runs jobs on scheduler threads (PR 2's soft-failure machinery:
- * exceptions and cooperative deadlines cost one run). Process runs
- * each attempt in a forked, resource-limited worker, so a segfault,
- * hard hang or OOM also costs one run instead of the sweep.
- */
-enum class IsolateMode { Off, Process };
 
 /** Shared bench parameters, resolved from the environment. */
 struct BenchParams {
@@ -75,42 +64,29 @@ struct BenchParams {
      *  1 = serial tiles). Tile jobs share the sweep scheduler's pool
      *  when it has workers, otherwise each simulator owns a pool. */
     int tile_jobs = 1;
-    /** Per-job wall-clock budget in milliseconds, enforced between
-     *  frames (cooperative watchdog); 0 disables
-     *  (EVRSIM_JOB_TIMEOUT_MS). Under IsolateMode::Process the same
-     *  budget, plus a grace period, is also the hard SIGKILL deadline
-     *  the supervisor enforces on the worker process. */
+    /** Per-job wall-clock budget in milliseconds, checked between
+     *  frames only (cooperative watchdog: a frame that never returns is
+     *  not interrupted); 0 disables (EVRSIM_JOB_TIMEOUT_MS). */
     int job_timeout_ms = 0;
-    /** Job failure domain (EVRSIM_ISOLATE: off | process). */
-    IsolateMode isolate = IsolateMode::Off;
-    /** Per-worker RLIMIT_AS budget in MiB under IsolateMode::Process
-     *  (EVRSIM_JOB_MEM_MB); 0 = unlimited. */
-    int job_mem_mb = 0;
-    /** EVRSIM_RESUME=1: replay <cache_dir>/sweep.journal on startup so
-     *  an interrupted sweep re-executes only unfinished jobs. */
-    bool resume = false;
-    /** Newest quarantined `.corrupt` files kept per cache entry before
-     *  older ones are evicted (EVRSIM_CORRUPT_KEEP). */
-    int corrupt_keep = 3;
     /** Ingestion validation + invariant auditing applied to every run
      *  whose SimConfig does not carry its own (EVRSIM_VALIDATE /
      *  EVRSIM_VALIDATE_SAMPLE). */
     ValidationConfig validation;
     /** Console verbosity (EVRSIM_LOG: quiet | normal | verbose). */
     LogLevel log_level = LogLevel::Normal;
-    /** Directory receiving metrics.json/metrics.prom after a sweep
+    /** Directory receiving metrics.json after a sweep
      *  (EVRSIM_METRICS: unset or 0 = disabled, 1 = the cache dir,
      *  anything else = that directory). Empty = metrics disabled, so
      *  the default path records nothing. */
     std::string metrics_dir;
     /** Live sweep telemetry cadence in milliseconds (EVRSIM_HEARTBEAT_MS;
      *  0 disables the heartbeat thread entirely). Each tick prints a
-     *  status line and appends a record to heartbeat.jsonl next to the
-     *  journal (or in metrics_dir when not caching). */
+     *  status line and appends a record to heartbeat.jsonl in
+     *  metrics_dir, else in the cache dir. */
     int heartbeat_ms = 2000;
     /** Emit the sweep throughput summary as a summary.json artifact
-     *  (EVRSIM_SUMMARY: 0 = off, 1/unset = default placement next to
-     *  the journal, anything else = that path). */
+     *  (EVRSIM_SUMMARY: 0 = off, 1/unset = <cache_dir>/summary.json,
+     *  anything else = that path). */
     bool write_summary = true;
     std::string summary_path; ///< empty = <cache_dir>/summary.json
 
@@ -132,21 +108,16 @@ struct BenchParams {
  *   EVRSIM_TILE_JOBS=n      tile-parallel rasterization inside each
  *                           simulation (default 1 = serial tiles;
  *                           results are byte-identical either way)
- *   EVRSIM_JOB_TIMEOUT_MS=n per-job wall-clock watchdog (0 = off);
- *                           doubles as the hard worker deadline under
- *                           process isolation
- *   EVRSIM_ISOLATE=mode     off | process job failure domain
- *   EVRSIM_JOB_MEM_MB=n     per-worker RLIMIT_AS in MiB (0 = unlimited)
- *   EVRSIM_RESUME=1         resume an interrupted sweep from the journal
- *   EVRSIM_CORRUPT_KEEP=n   quarantined .corrupt files kept per entry
+ *   EVRSIM_JOB_TIMEOUT_MS=n per-job wall-clock watchdog, checked
+ *                           between frames (0 = off)
  *   EVRSIM_VALIDATE=mode    off | permissive | strict (see validate.hpp)
  *   EVRSIM_VALIDATE_SAMPLE=r image-identity audit tile sample rate
  *   EVRSIM_LOG=level        quiet | normal | verbose console verbosity
  *   EVRSIM_METRICS=where    0 = off, 1 = cache dir, else a directory:
- *                           write metrics.json/metrics.prom per sweep
+ *                           write metrics.json per sweep
  *   EVRSIM_HEARTBEAT_MS=n   live telemetry cadence (0 = off)
- *   EVRSIM_SUMMARY=where    0 = off, 1 = next to the journal, else a
- *                           path: write summary.json per sweep
+ *   EVRSIM_SUMMARY=where    0 = off, 1 = the cache dir, else a path:
+ *                           write summary.json per sweep
  *
  * Numeric knobs are validated strictly: a value that is not entirely a
  * number in the accepted range is InvalidArgument naming the variable,
@@ -163,15 +134,16 @@ struct RunRequest {
     SimConfig config;
 };
 
-/** One permanently failed run of a batch (after bounded retries). */
+/** One failed run of a batch. */
 struct RunFailure {
     std::size_t index = 0; ///< position in the request vector
     std::string alias;
     std::string config;
-    Status status;    ///< why the last attempt failed
-    int attempts = 1; ///< simulation attempts made (1 + retries)
-    /** Every attempt was a hard worker death (crash, deadline kill,
-     *  OOM): the job is crash-quarantined and skipped, not retried. */
+    Status status; ///< why the run failed
+    /** Simulation attempts made: 1, or 0 when the run was shed before
+     *  it started. Kept because simbench reads it. */
+    int attempts = 1;
+    /** Always false; kept because simbench reads it. */
     bool quarantined = false;
 };
 
@@ -200,14 +172,9 @@ struct SweepStats {
     double batch_wall_ms = 0.0; ///< summed runAll() wall-clock
     // Fault accounting:
     std::uint64_t quarantined = 0; ///< corrupt cache entries set aside
-    std::uint64_t retries = 0;     ///< extra attempts after transient failures
-    std::uint64_t failed = 0;      ///< runs that failed permanently
-    std::uint64_t crash_quarantined = 0; ///< jobs whose workers died every attempt
-    std::uint64_t corrupt_evicted = 0;   ///< old .corrupt files evicted by the cap
-    std::uint64_t resumed = 0; ///< outcomes replayed from the sweep journal
-    /** Journal records superseded by a later terminal record for the
-     *  same key during replay (resume-of-a-resume; last wins). */
-    std::uint64_t resume_duplicates = 0;
+    std::uint64_t retries = 0; ///< always 0; kept because simbench reads it
+    std::uint64_t failed = 0;  ///< runs that failed
+    std::uint64_t corrupt_evicted = 0; ///< old .corrupt files evicted by the cap
     /** Jobs shed un-run because a cooperative shutdown (SIGINT/SIGTERM)
      *  arrived before they started. */
     std::uint64_t cancelled = 0;
@@ -215,23 +182,6 @@ struct SweepStats {
     std::uint64_t degraded_tiles = 0;     ///< tiles repaired or disabled
     std::uint64_t validate_violations = 0; ///< invariant audit failures
 };
-
-/** One supervised worker attempt, as seen by the runner. */
-struct WorkerAttempt {
-    Status status; ///< Ok => result is valid
-    RunResult result;
-    bool worker_died = false; ///< hard death (counts toward quarantine)
-};
-
-/**
- * Launches one isolated attempt of (alias, config) whose cache-entry
- * key is @p key, blocking until the worker terminates. The bench
- * context installs a fork/exec launcher (driver/supervisor.hpp);
- * tests install fakes to script worker behaviour deterministically.
- */
-using WorkerLauncher = std::function<WorkerAttempt(
-    const std::string & /*alias*/, const SimConfig & /*config*/,
-    const std::string & /*key*/)>;
 
 /** Simulates and caches runs. */
 class ExperimentRunner
@@ -252,12 +202,12 @@ class ExperimentRunner
      * Return the result of simulating @p alias under @p config for the
      * bench frame count, using the memo and the on-disk cache when
      * permitted. Thread-safe; concurrent calls for the same triple
-     * deduplicate onto a single simulation. Exits(1) on permanent
-     * failure — use tryRun() where a failure must be survivable.
+     * deduplicate onto a single simulation. Exits(1) on failure — use
+     * tryRun() where a failure must be survivable.
      */
     RunResult run(const std::string &alias, const SimConfig &config);
 
-    /** run() that propagates permanent failures instead of exiting. */
+    /** run() that propagates failures instead of exiting. */
     Result<RunResult> tryRun(const std::string &alias,
                              const SimConfig &config);
 
@@ -268,11 +218,13 @@ class ExperimentRunner
      * to issuing the same run() calls serially.
      *
      * Fault tolerance: a corrupt cache entry is quarantined to
-     * `<entry>.corrupt` and re-simulated; a transiently failing run
-     * (ErrorCode::Unavailable) is retried up to kJobMaxAttempts with
-     * exponential backoff; a permanently failing run costs only its own
-     * slot. Exits(1) if any run failed — use runAllChecked() to get
-     * partial results plus the failure list instead.
+     * `<entry>.<seq>.corrupt` and re-simulated; a failing run costs only
+     * its own slot, and is not retried (the simulator is deterministic,
+     * so a retry fails the same way). Every finished run is published
+     * to the cache as it completes, so an interrupted sweep that is run
+     * again re-simulates only the unfinished runs. Exits(1) if any run
+     * failed — use runAllChecked() to get partial results plus the
+     * failure list instead.
      */
     std::vector<RunResult> runAll(const std::vector<RunRequest> &requests);
 
@@ -280,30 +232,21 @@ class ExperimentRunner
     BatchOutcome runAllChecked(const std::vector<RunRequest> &requests);
 
     /**
-     * Force a fresh simulation (never touches the cache or memo, never
-     * retries). Exits(1) on failure.
+     * Force a fresh simulation (never touches the cache or memo).
+     * Exits(1) on failure.
      */
     RunResult simulate(const std::string &alias, const SimConfig &config);
 
-    /** One simulation attempt, failures propagated (no retry). */
+    /** One simulation, failures propagated. */
     Result<RunResult> trySimulate(const std::string &alias,
                                   const SimConfig &config);
 
     const BenchParams &params() const { return params_; }
 
     /**
-     * Install the launcher used for attempts under
-     * IsolateMode::Process. Without one, isolation degrades to the
-     * in-process path (with a warning) — the runner itself never
-     * forks; the embedding binary owns re-exec.
-     */
-    void setWorkerLauncher(WorkerLauncher launcher);
-
-    /**
      * Stable job key of (alias, config): the cache-entry filename,
      * which already encodes workload, config, dimensions, frames,
-     * validation and schema version. Keys address jobs across the
-     * sweep journal and the worker protocol.
+     * validation and schema version.
      */
     std::string jobKey(const std::string &alias,
                        const SimConfig &config) const;
@@ -314,8 +257,8 @@ class ExperimentRunner
     /**
      * Export the metrics registry (per-run counters recorded while
      * simulating, plus sweep-level `evrsim_sweep_*` gauges refreshed
-     * from sweepStats() at call time) as metrics.json and metrics.prom
-     * in params().metrics_dir. No-op (Ok) when metrics are disabled.
+     * from sweepStats() at call time) as metrics.json in
+     * params().metrics_dir. No-op (Ok) when metrics are disabled.
      */
     Status writeMetricsArtifacts();
 
@@ -326,18 +269,10 @@ class ExperimentRunner
     const FaultInjector &faultInjector() const { return fault_; }
 
   private:
-    /** Terminal state of one requested run. */
-    struct RunOutcome {
-        RunResult result;
-        Status status;    ///< Ok, or why the run permanently failed
-        int attempts = 0; ///< simulation attempts (0 = served from cache)
-        bool quarantined = false; ///< all attempts were hard worker deaths
-    };
-
     /** A memoized run: filled once, then shared by every requester. */
     struct MemoEntry {
         bool done = false;
-        RunOutcome outcome;
+        Result<RunResult> outcome = RunResult{};
     };
 
     std::string cachePath(const std::string &alias,
@@ -347,21 +282,11 @@ class ExperimentRunner
      *  carries one, else the bench-wide EVRSIM_VALIDATE setting. */
     ValidationConfig effectiveValidation(const SimConfig &config) const;
 
-    /** run() body: memo lookup / in-flight wait / compute-and-publish. */
-    RunOutcome runMemoized(const std::string &alias,
-                           const SimConfig &config);
-
-    /** Disk-cache lookup, else simulate with bounded retry. */
-    RunOutcome computeUncached(const std::string &alias,
-                               const SimConfig &config,
-                               const std::string &path, bool &from_disk);
-
-    /** One simulation attempt: in-process, or via the worker launcher
-     *  under IsolateMode::Process. */
-    Result<RunResult> attemptOnce(const std::string &alias,
-                                  const SimConfig &config,
-                                  const std::string &path,
-                                  bool &worker_died);
+    /** Disk-cache lookup, else simulate once and publish. */
+    Result<RunResult> computeUncached(const std::string &alias,
+                                      const SimConfig &config,
+                                      const std::string &path,
+                                      bool &from_disk);
 
     /**
      * Load + validate one cache entry: NotFound on a plain miss,
@@ -370,7 +295,7 @@ class ExperimentRunner
     Result<RunResult> loadCacheEntry(const std::string &path);
 
     /** Move a damaged entry aside (`<stem>.<seq>.corrupt`) so it is
-     *  never reused, evicting all but the newest corrupt_keep copies. */
+     *  never reused, evicting all but the newest kCorruptKeep copies. */
     void quarantine(const std::string &path, const Status &why);
 
     /** Atomically publish @p r at @p path (failure is only a warn). */
@@ -379,8 +304,6 @@ class ExperimentRunner
     WorkloadFactory factory_;
     BenchParams params_;
     FaultInjector fault_;
-    WorkerLauncher launcher_;
-    SweepJournal journal_;
 
     /** Sweep scheduler pool while runAllChecked is active (else null).
      *  Tile jobs (EVRSIM_TILE_JOBS) share it so one set of workers
@@ -391,7 +314,6 @@ class ExperimentRunner
     std::condition_variable memo_done_;
     std::map<std::string, std::shared_ptr<MemoEntry>> memo_;
     SweepStats stats_;
-    bool warned_no_launcher_ = false;
 };
 
 /**
@@ -404,11 +326,9 @@ class ExperimentRunner
  */
 constexpr int kResultCacheVersion = 4;
 
-/** Max simulation attempts per run when failures are transient. */
-constexpr int kJobMaxAttempts = 3;
-
-/** Backoff before the first retry, doubling per retry (milliseconds). */
-constexpr int kRetryBaseMs = 2;
+/** Newest quarantined `.corrupt` copies kept per cache entry; older
+ *  ones are evicted so a damaged entry cannot pile up copies forever. */
+constexpr int kCorruptKeep = 3;
 
 } // namespace evrsim
 

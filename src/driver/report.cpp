@@ -148,23 +148,12 @@ printSweepSummary(const ExperimentRunner &runner)
                     "%.2fs wall\n",
                     s.batch_wall_ms / 1000.0);
     }
-    if (s.resumed > 0)
-        std::printf("sweep resume: %llu outcome(s) replayed from the "
-                    "journal\n",
-                    static_cast<unsigned long long>(s.resumed));
-    if (s.quarantined > 0 || s.retries > 0 || s.failed > 0 ||
-        s.crash_quarantined > 0 || s.corrupt_evicted > 0) {
+    if (s.quarantined > 0 || s.failed > 0 || s.corrupt_evicted > 0) {
         std::printf("sweep faults: %llu cache entr%s quarantined, "
-                    "%llu retr%s, %llu run(s) failed",
+                    "%llu run(s) failed",
                     static_cast<unsigned long long>(s.quarantined),
                     s.quarantined == 1 ? "y" : "ies",
-                    static_cast<unsigned long long>(s.retries),
-                    s.retries == 1 ? "y" : "ies",
                     static_cast<unsigned long long>(s.failed));
-        if (s.crash_quarantined > 0)
-            std::printf(", %llu job(s) crash-quarantined",
-                        static_cast<unsigned long long>(
-                            s.crash_quarantined));
         if (s.corrupt_evicted > 0)
             std::printf(", %llu old .corrupt file(s) evicted",
                         static_cast<unsigned long long>(
@@ -186,10 +175,8 @@ printFailureReport(const BatchOutcome &outcome)
         return;
     std::fprintf(stderr, "FAILED RUNS (%zu):\n", outcome.failures.size());
     for (const RunFailure &f : outcome.failures)
-        std::fprintf(stderr, "  %s/%s after %d attempt(s)%s: %s\n",
-                     f.alias.c_str(), f.config.c_str(), f.attempts,
-                     f.quarantined ? " [crash-quarantined]" : "",
-                     f.status.toString().c_str());
+        std::fprintf(stderr, "  %s/%s: %s\n", f.alias.c_str(),
+                     f.config.c_str(), f.status.toString().c_str());
     std::fprintf(stderr,
                  "results for failed runs are omitted below; exit will "
                  "be non-zero\n");
@@ -217,11 +204,8 @@ writeSweepSummaryJson(const ExperimentRunner &runner,
     doc.set("avg_concurrency",
             s.batch_wall_ms > 0.0 ? s.sim_wall_ms / s.batch_wall_ms : 0.0);
     doc.set("quarantined", s.quarantined);
-    doc.set("retries", s.retries);
     doc.set("failed", s.failed);
-    doc.set("crash_quarantined", s.crash_quarantined);
     doc.set("corrupt_evicted", s.corrupt_evicted);
-    doc.set("resumed", s.resumed);
     doc.set("degraded_tiles", s.degraded_tiles);
     doc.set("validate_violations", s.validate_violations);
 
@@ -230,8 +214,6 @@ writeSweepSummaryJson(const ExperimentRunner &runner,
         Json entry = Json::object();
         entry.set("workload", f.alias);
         entry.set("config", f.config);
-        entry.set("attempts", f.attempts);
-        entry.set("quarantined", f.quarantined);
         entry.set("status", f.status.toString());
         failures.push(std::move(entry));
     }

@@ -64,16 +64,16 @@ void printPaperShape(const std::string &expectation);
 void printSweepSummary(const ExperimentRunner &runner);
 
 /**
- * Print the sweep-end failure report: one line per permanently failed
- * run (alias/config, attempts, status). Prints nothing when the batch
+ * Print the sweep-end failure report: one line per failed run
+ * (alias/config, status). Prints nothing when the batch
  * is clean, so fault-free sweeps look exactly as before.
  */
 void printFailureReport(const BatchOutcome &outcome);
 
 /**
  * Write the numbers printSweepSummary() prints — run accounting,
- * throughput, fault counters — plus the batch's permanent failures as
- * a summary.json artifact at @p path (atomic tmp+rename), so BENCH_*
+ * throughput, fault counters — plus the batch's failed runs as a
+ * summary.json artifact at @p path (atomic tmp+rename), so BENCH_*
  * trajectories can be collected mechanically instead of scraped from
  * stdout.
  */

@@ -2,21 +2,21 @@
  * @file
  * Tests for the driver layer: JSON round trips, RunResult persistence,
  * SimConfig validation, energy-event mapping, the experiment
- * runner's on-disk cache, sweep-journal replay and resume, and
- * cooperative shutdown.
+ * runner's on-disk cache, resuming an interrupted sweep from that
+ * cache, and cooperative shutdown.
  */
 #include <gtest/gtest.h>
 
 #include <signal.h>
 #include <stdlib.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 
 #include "common/shutdown.hpp"
 #include "driver/experiment.hpp"
 #include "driver/report.hpp"
-#include "driver/sweep_journal.hpp"
 #include "support.hpp"
 #include "workloads/registry.hpp"
 
@@ -406,7 +406,7 @@ TEST(Report, TableRejectsMismatchedRows)
     EXPECT_DEATH(t.addRow({"only-one"}), "assertion");
 }
 
-// -------------------------------- Sweep journal and cooperative shutdown --
+// ------------------------------ Cache resume and cooperative shutdown --
 
 // Own namespace: these tests run the real workload registry, so their
 // tinyParams() must shadow the mini-workload one above.
@@ -418,7 +418,7 @@ struct TempDir {
     std::string path;
     TempDir()
     {
-        char tmpl[] = "/tmp/evrjrnXXXXXX";
+        char tmpl[] = "/tmp/evrsweepXXXXXX";
         char *p = ::mkdtemp(tmpl);
         EXPECT_NE(p, nullptr);
         path = p ? p : "";
@@ -452,74 +452,58 @@ tinyParams(const std::string &cache_dir)
 
 } // namespace
 
-TEST(SweepJournalReplay, DuplicateTerminalRecordsLastWinsAndCounted)
+TEST(CacheResume, InterruptedSweepReRunsOnlyUnfinishedRunsByteIdentically)
 {
-    TempDir dir;
-    std::string path = dir.path + "/sweep.journal";
-
-    RunResult r1;
-    r1.workload = "w";
-    r1.config = "baseline";
-    r1.frames = 1;
-    r1.width = 8;
-    r1.height = 8;
-    r1.image_crc = 111;
-    RunResult r2 = r1;
-    r2.image_crc = 222;
-
-    {
-        SweepJournal j;
-        ASSERT_TRUE(j.open(path).ok());
-        j.recordStart("k");
-        j.recordFinish("k", r1, 1);
-        // Resume-of-a-resume: a second terminal record for the same key.
-        j.recordStart("k");
-        j.recordFinish("k", r2, 2);
+    BenchParams ref_params = tinyParams("");
+    SimConfig baseline = SimConfig::baseline(ref_params.gpuConfig());
+    SimConfig evr = SimConfig::evr(ref_params.gpuConfig());
+    std::vector<RunRequest> plan;
+    for (const char *alias : {"ccs", "abi", "hay"}) {
+        plan.push_back({alias, baseline});
+        plan.push_back({alias, evr});
     }
-    Result<SweepJournal::Replay> rep = SweepJournal::replay(path);
-    ASSERT_TRUE(rep.ok());
-    ASSERT_EQ(rep.value().outcomes.count("k"), 1u);
-    EXPECT_EQ(rep.value().outcomes.at("k").result.image_crc, 222u);
-    EXPECT_EQ(rep.value().duplicates, 1u);
-    EXPECT_EQ(rep.value().in_flight, 0u);
-}
 
-TEST(SweepJournalReplay, RunnerResumeSurfacesDuplicateCount)
-{
+    // The reference: one uninterrupted sweep.
+    ExperimentRunner one_shot(workloads::factory(), ref_params);
+    std::vector<RunResult> want = one_shot.runAll(plan);
+
+    // The interrupted sweep: a shutdown arrives while the third run is
+    // simulating. That run finishes and is cached; the rest are shed.
+    constexpr int kFinished = 3;
     TempDir dir;
     BenchParams params = tinyParams(dir.path);
-
-    // A real result to journal (also gives us the job key).
-    ExperimentRunner first(workloads::factory(), params);
-    SimConfig baseline = SimConfig::baseline(params.gpuConfig());
-    Result<RunResult> real = first.tryRun("ccs", baseline);
-    ASSERT_TRUE(real.ok());
-    std::string key = first.jobKey("ccs", baseline);
-
-    // Forge a journal with two terminal records for that key, as a
-    // resume-of-a-resume leaves behind.
-    std::string jpath = dir.path + "/sweep.journal";
-    std::filesystem::remove(jpath);
+    std::atomic<int> builds{0};
+    WorkloadFactory interrupting =
+        [&builds](const std::string &alias, int w, int h) {
+            if (builds.fetch_add(1) + 1 == kFinished)
+                requestShutdown(SIGINT);
+            return workloads::factory()(alias, w, h);
+        };
+    resetShutdownForTest();
     {
-        SweepJournal j;
-        ASSERT_TRUE(j.open(jpath).ok());
-        j.recordFinish(key, real.value(), 1);
-        j.recordFinish(key, real.value(), 1);
+        ExperimentRunner first(interrupting, params);
+        BatchOutcome out = first.runAllChecked(plan);
+        EXPECT_EQ(first.sweepStats().simulated,
+                  static_cast<std::uint64_t>(kFinished));
+        ASSERT_EQ(out.failures.size(), plan.size() - kFinished);
+        for (const RunFailure &f : out.failures)
+            EXPECT_EQ(f.status.code(), ErrorCode::Cancelled);
     }
+    resetShutdownForTest();
 
-    BenchParams resumed = params;
-    resumed.resume = true;
-    resumed.use_cache = true;
-    ExperimentRunner second(workloads::factory(), resumed);
-    Result<RunResult> replayed = second.tryRun("ccs", baseline);
-    ASSERT_TRUE(replayed.ok());
-
-    SweepStats stats = second.sweepStats();
-    EXPECT_EQ(stats.resumed, 1u);
-    EXPECT_EQ(stats.resume_duplicates, 1u);
-    EXPECT_EQ(stats.simulated, 0u); // served from the journal, not re-run
-    EXPECT_EQ(replayed.value().toJson(false).dump(0),
-              real.value().toJson(false).dump(0));
+    // A fresh runner over the same cache: the finished runs are disk
+    // hits, only the rest simulate, and every result matches the
+    // uninterrupted sweep byte for byte.
+    ExperimentRunner resumed(workloads::factory(), params);
+    std::vector<RunResult> got = resumed.runAll(plan);
+    SweepStats stats = resumed.sweepStats();
+    EXPECT_EQ(stats.disk_hits, static_cast<std::uint64_t>(kFinished));
+    EXPECT_EQ(stats.simulated, plan.size() - kFinished);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(got[i].toJson(false).dump(2),
+                  want[i].toJson(false).dump(2))
+            << "resumed run " << i << " diverged";
 }
 
 TEST(CooperativeShutdown, ShedsPendingJobsWithCancelledAndExitCode)

@@ -2,10 +2,11 @@
  * @file
  * Tests for the fault-tolerance layer: Status/Result propagation, strict
  * env-knob validation, the deterministic FaultInjector, JobPool
- * exception capture, corrupt-cache quarantine + re-simulation, bounded
- * retry with backoff, the cooperative job watchdog, and — the
- * load-bearing guarantee — that every run surviving an injected-fault
- * sweep is byte-identical to a clean run.
+ * exception capture, durable atomic writes and the CRC32 envelope,
+ * corrupt-cache quarantine + re-simulation and its `.corrupt` cap, the
+ * cooperative job watchdog, failure reporting and memoization, and —
+ * the load-bearing guarantee — that every run surviving a sweep with
+ * failed runs is byte-identical to a clean run.
  */
 #include <gtest/gtest.h>
 
@@ -16,14 +17,18 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
+#include "common/atomic_file.hpp"
 #include "common/env.hpp"
 #include "common/fault_injector.hpp"
 #include "common/status.hpp"
 #include "driver/experiment.hpp"
 #include "common/job_pool.hpp"
+#include "driver/envelope.hpp"
 #include "driver/json.hpp"
 #include "scene/mesh.hpp"
 #include "support.hpp"
@@ -37,7 +42,6 @@ TEST(Status, DefaultIsOkAndFactoriesCarryCodes)
 {
     Status ok;
     EXPECT_TRUE(ok.ok());
-    EXPECT_FALSE(ok.isTransient());
 
     Status s = Status::dataLoss("entry damaged");
     EXPECT_FALSE(s.ok());
@@ -51,14 +55,6 @@ TEST(Status, DefaultIsOkAndFactoriesCarryCodes)
     EXPECT_EQ(Status::deadlineExceeded("x").code(),
               ErrorCode::DeadlineExceeded);
     EXPECT_EQ(Status::internal("x").code(), ErrorCode::Internal);
-}
-
-TEST(Status, OnlyUnavailableIsTransient)
-{
-    EXPECT_TRUE(Status::unavailable("io hiccup").isTransient());
-    EXPECT_FALSE(Status::dataLoss("x").isTransient());
-    EXPECT_FALSE(Status::deadlineExceeded("x").isTransient());
-    EXPECT_FALSE(Status::internal("x").isTransient());
 }
 
 TEST(Status, WithContextPrefixesMessage)
@@ -135,7 +131,7 @@ TEST(EnvKnobs, CheckedVariantPropagatesInsteadOfExiting)
 TEST(FaultInjector, ParsesSpecTriples)
 {
     Result<FaultPlan> plan =
-        FaultInjector::parsePlan("cache-read:1:42,job-execute:0.25:7");
+        FaultInjector::parsePlan("cache-read:1:42,scene-mutate:0.25:7");
     ASSERT_TRUE(plan.ok());
     const FaultSpec &rd =
         plan.value()[static_cast<int>(FaultSite::CacheRead)];
@@ -146,7 +142,7 @@ TEST(FaultInjector, ParsesSpecTriples)
         plan.value()[static_cast<int>(FaultSite::CacheWrite)];
     EXPECT_FALSE(wr.enabled);
     const FaultSpec &ex =
-        plan.value()[static_cast<int>(FaultSite::JobExecute)];
+        plan.value()[static_cast<int>(FaultSite::SceneMutate)];
     EXPECT_TRUE(ex.enabled);
     EXPECT_DOUBLE_EQ(ex.rate, 0.25);
 }
@@ -162,17 +158,17 @@ TEST(FaultInjector, RejectsMalformedSpecs)
 
 TEST(FaultInjector, DrawsAreDeterministicInSeedAndCounter)
 {
-    Result<FaultPlan> plan = FaultInjector::parsePlan("job-execute:0.5:9");
+    Result<FaultPlan> plan = FaultInjector::parsePlan("scene-mutate:0.5:9");
     ASSERT_TRUE(plan.ok());
     FaultInjector a(plan.value());
     FaultInjector b(plan.value());
     for (int i = 0; i < 200; ++i)
-        EXPECT_EQ(a.shouldFail(FaultSite::JobExecute),
-                  b.shouldFail(FaultSite::JobExecute))
+        EXPECT_EQ(a.shouldFail(FaultSite::SceneMutate),
+                  b.shouldFail(FaultSite::SceneMutate))
             << "draw " << i << " diverged for identical plans";
-    EXPECT_EQ(a.draws(FaultSite::JobExecute), 200u);
-    EXPECT_EQ(a.injected(FaultSite::JobExecute),
-              b.injected(FaultSite::JobExecute));
+    EXPECT_EQ(a.draws(FaultSite::SceneMutate), 200u);
+    EXPECT_EQ(a.injected(FaultSite::SceneMutate),
+              b.injected(FaultSite::SceneMutate));
 }
 
 TEST(FaultInjector, RateZeroNeverFiresRateOneAlwaysFires)
@@ -184,13 +180,13 @@ TEST(FaultInjector, RateZeroNeverFiresRateOneAlwaysFires)
     for (int i = 0; i < 100; ++i) {
         EXPECT_FALSE(inj.shouldFail(FaultSite::CacheRead));
         EXPECT_TRUE(inj.shouldFail(FaultSite::CacheWrite));
-        EXPECT_FALSE(inj.shouldFail(FaultSite::JobExecute)); // disabled
+        EXPECT_FALSE(inj.shouldFail(FaultSite::SceneMutate)); // disabled
     }
     EXPECT_EQ(inj.injected(FaultSite::CacheRead), 0u);
     EXPECT_EQ(inj.injected(FaultSite::CacheWrite), 100u);
     // A disabled site is a single branch: no draw is even recorded.
-    EXPECT_EQ(inj.draws(FaultSite::JobExecute), 0u);
-    EXPECT_EQ(inj.injected(FaultSite::JobExecute), 0u);
+    EXPECT_EQ(inj.draws(FaultSite::SceneMutate), 0u);
+    EXPECT_EQ(inj.injected(FaultSite::SceneMutate), 0u);
 }
 
 TEST(FaultInjector, MalformedEnvIsFatal)
@@ -316,27 +312,17 @@ class TinyWorkload : public Workload
     Mesh quad_;
 };
 
-/** TinyWorkload whose setup() throws TransientError while budget > 0. */
-class FlakyWorkload : public TinyWorkload
+/** TinyWorkload whose setup() throws, as a broken workload would. */
+class ThrowingWorkload : public TinyWorkload
 {
   public:
-    FlakyWorkload(std::string alias, int w, int h,
-                  std::atomic<int> *failures_left)
-        : TinyWorkload(std::move(alias), w, h),
-          failures_left_(failures_left)
-    {
-    }
+    using TinyWorkload::TinyWorkload;
 
     void
-    setup(GpuSimulator &sim) override
+    setup(GpuSimulator &) override
     {
-        if (failures_left_->fetch_sub(1) > 0)
-            throw TransientError("simulated I/O hiccup");
-        TinyWorkload::setup(sim);
+        throw std::runtime_error("broken workload");
     }
-
-  private:
-    std::atomic<int> *failures_left_;
 };
 
 /** TinyWorkload whose frames take >= @p ms wall-clock each. */
@@ -367,6 +353,24 @@ tinyFactory()
         if (alias != "fz-a" && alias != "fz-b")
             return nullptr;
         return std::make_unique<TinyWorkload>(alias, w, h);
+    };
+}
+
+/**
+ * tinyFactory() whose workloads for @p failing aliases throw; counts
+ * every workload it builds in @p builds when given.
+ */
+WorkloadFactory
+failingFactory(std::set<std::string> failing,
+               std::atomic<int> *builds = nullptr)
+{
+    return [failing, builds](const std::string &alias, int w,
+                             int h) -> std::unique_ptr<Workload> {
+        if (builds)
+            builds->fetch_add(1);
+        if (failing.count(alias))
+            return std::make_unique<ThrowingWorkload>(alias, w, h);
+        return tinyFactory()(alias, w, h);
     };
 }
 
@@ -424,6 +428,15 @@ freshCacheDir(const std::string &name)
     return dir;
 }
 
+/** freshCacheDir(), created. */
+std::filesystem::path
+freshDir(const std::string &name)
+{
+    std::filesystem::path dir = freshCacheDir(name);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
 std::vector<std::filesystem::path>
 cacheEntries(const std::filesystem::path &dir, const std::string &ext)
 {
@@ -454,6 +467,68 @@ spit(const std::filesystem::path &p, const std::string &text)
 }
 
 } // namespace
+
+// ------------------------------------------------------ atomic file ----
+
+TEST(AtomicFile, WriteReadRoundtripAndOverwrite)
+{
+    std::filesystem::path dir = freshDir("evrsim_atomic_file");
+    std::string path = (dir / "a.txt").string();
+
+    ASSERT_TRUE(atomicWriteFile(path, "first").ok());
+    ASSERT_TRUE(atomicWriteFile(path, "second contents").ok());
+
+    std::ifstream in(path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    EXPECT_EQ(buf.str(), "second contents");
+
+    // No pid-tagged temp file may survive a successful publish.
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        EXPECT_EQ(e.path().filename().string(), "a.txt");
+    std::filesystem::remove_all(dir);
+}
+
+TEST(AtomicFile, UnwritableDirectoryReportsUnavailable)
+{
+    Status s = atomicWriteFile("/nonexistent-dir-evrsim/x.txt", "data");
+    EXPECT_FALSE(s.ok());
+    EXPECT_EQ(s.code(), ErrorCode::Unavailable);
+}
+
+// --------------------------------------------------------- envelope ----
+
+TEST(Envelope, RoundtripPreservesPayload)
+{
+    Json payload = Json::object();
+    payload.set("answer", 42);
+    payload.set("name", std::string("tiny"));
+
+    std::string text = wrapEnvelope(payload, 7).dump(0);
+    Result<Json> back = parseEnvelope(text, 7);
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_EQ(back.value().dump(1), payload.dump(1));
+}
+
+TEST(Envelope, SchemaMismatchAndDamageAreDataLoss)
+{
+    Json payload = Json::object();
+    payload.set("v", 1);
+    std::string text = wrapEnvelope(payload, 3).dump(0);
+
+    Result<Json> wrong = parseEnvelope(text, 4);
+    ASSERT_FALSE(wrong.ok());
+    EXPECT_EQ(wrong.status().code(), ErrorCode::DataLoss);
+
+    // Tamper with the payload value: the CRC no longer matches.
+    std::string damaged = text;
+    std::size_t at = damaged.rfind("1");
+    ASSERT_NE(at, std::string::npos);
+    damaged[at] = '2';
+    Result<Json> bad = parseEnvelope(damaged, 3);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), ErrorCode::DataLoss);
+}
 
 // ------------------------------------- corrupt-cache fuzz + quarantine --
 
@@ -573,13 +648,50 @@ TEST(CorruptCache, CacheWriteInjectionPublishesNothingButStillAnswers)
     std::filesystem::remove_all(dir);
 }
 
-// ----------------------------------------- retry, watchdog, reporting --
+// ------------------------------------------------- corrupt-file cap ----
+
+TEST(CorruptCap, KeepsNewestCopiesAndCountsEvictions)
+{
+    std::filesystem::path dir = freshDir("evrsim_corrupt_cap");
+    BenchParams p = tinyParams(1, dir.string());
+    SimConfig cfg = SimConfig::baseline(p.gpuConfig());
+
+    std::string key;
+    std::uint64_t last_evicted = 0;
+    for (int round = 0; round < kCorruptKeep + 2; ++round) {
+        ExperimentRunner runner(tinyFactory(), p);
+        key = runner.jobKey("fz-a", cfg);
+        // Damage the published entry, then re-run: the load detects
+        // DataLoss, quarantines, and re-simulates.
+        std::ofstream((dir / key).string()) << "{damaged";
+        ASSERT_TRUE(runner.tryRun("fz-a", cfg).ok());
+        EXPECT_EQ(runner.sweepStats().quarantined, 1u);
+        last_evicted = runner.sweepStats().corrupt_evicted;
+    }
+
+    // kCorruptKeep + 2 quarantines: only the newest kCorruptKeep
+    // sequence numbers live.
+    std::vector<std::string> corrupt;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        if (e.path().extension() == ".corrupt")
+            corrupt.push_back(e.path().filename().string());
+    std::sort(corrupt.begin(), corrupt.end());
+    std::vector<std::string> want;
+    for (int seq = 2; seq < kCorruptKeep + 2; ++seq)
+        want.push_back(key + "." + std::to_string(seq) + ".corrupt");
+    EXPECT_EQ(corrupt, want);
+    EXPECT_EQ(last_evicted, 1u); // each later round evicts its oldest
+    std::filesystem::remove_all(dir);
+}
+
+// --------------------------------------- watchdog, failure reporting --
 
 TEST(FaultRecovery, PermanentFailureIsBoundedAndReported)
 {
     std::vector<RunRequest> reqs = tinyBatch(tinyParams(1).gpuConfig());
-    ExperimentRunner runner(tinyFactory(), tinyParams(1),
-                            planFor(FaultSite::JobExecute, 1.0, 7));
+    std::atomic<int> builds{0};
+    ExperimentRunner runner(failingFactory({"fz-a", "fz-b"}, &builds),
+                            tinyParams(1), FaultPlan{});
 
     BatchOutcome outcome = runner.runAllChecked(reqs);
     EXPECT_FALSE(outcome.ok());
@@ -590,58 +702,34 @@ TEST(FaultRecovery, PermanentFailureIsBoundedAndReported)
         EXPECT_EQ(f.index, i); // sorted, and here every run failed
         EXPECT_EQ(f.alias, reqs[i].alias);
         EXPECT_EQ(f.config, reqs[i].config.name);
-        EXPECT_EQ(f.attempts, kJobMaxAttempts); // bounded, not infinite
-        EXPECT_EQ(f.status.code(), ErrorCode::Unavailable);
+        EXPECT_EQ(f.attempts, 1); // bounded: one attempt, no retry
+        EXPECT_EQ(f.status.code(), ErrorCode::Internal);
+        EXPECT_NE(f.status.message().find("broken workload"),
+                  std::string::npos);
         EXPECT_EQ(outcome.results[i].frames, 0); // default slot
     }
 
     SweepStats stats = runner.sweepStats();
     EXPECT_EQ(stats.failed, reqs.size());
-    EXPECT_EQ(stats.retries,
-              reqs.size() * static_cast<std::size_t>(kJobMaxAttempts - 1));
+    EXPECT_EQ(stats.retries, 0u);
     EXPECT_EQ(stats.simulated, 0u);
-    EXPECT_EQ(runner.faultInjector().draws(FaultSite::JobExecute),
-              reqs.size() * static_cast<std::size_t>(kJobMaxAttempts));
+    EXPECT_EQ(builds.load(), static_cast<int>(reqs.size()));
 }
 
 TEST(FaultRecovery, RunExitsOnPermanentFailure)
 {
-    ExperimentRunner runner(tinyFactory(), tinyParams(1),
-                            planFor(FaultSite::JobExecute, 1.0, 7));
+    ExperimentRunner runner(failingFactory({"fz-a"}), tinyParams(1),
+                            FaultPlan{});
     SimConfig cfg = SimConfig::baseline(tinyParams(1).gpuConfig());
 
     Result<RunResult> r = runner.tryRun("fz-a", cfg);
     ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), ErrorCode::Unavailable);
+    EXPECT_EQ(r.status().code(), ErrorCode::Internal);
 
-    ExperimentRunner fatal_runner(tinyFactory(), tinyParams(1),
-                                  planFor(FaultSite::JobExecute, 1.0, 7));
+    ExperimentRunner fatal_runner(failingFactory({"fz-a"}), tinyParams(1),
+                                  FaultPlan{});
     EXPECT_EXIT(fatal_runner.run("fz-a", cfg),
-                ::testing::ExitedWithCode(1), "failed after");
-}
-
-TEST(FaultRecovery, TransientWorkloadFaultRetriesThenSucceeds)
-{
-    std::atomic<int> failures_left{1};
-    WorkloadFactory factory =
-        [&failures_left](const std::string &alias, int w,
-                         int h) -> std::unique_ptr<Workload> {
-        if (alias != "fz-a")
-            return nullptr;
-        return std::make_unique<FlakyWorkload>(alias, w, h,
-                                               &failures_left);
-    };
-    ExperimentRunner runner(factory, tinyParams(1), FaultPlan{});
-    SimConfig cfg = SimConfig::baseline(tinyParams(1).gpuConfig());
-
-    Result<RunResult> r = runner.tryRun("fz-a", cfg);
-    ASSERT_TRUE(r.ok()) << r.status().toString();
-    EXPECT_GT(r.value().image_crc, 0u);
-
-    SweepStats stats = runner.sweepStats();
-    EXPECT_EQ(stats.retries, 1u); // attempt 1 threw, attempt 2 landed
-    EXPECT_EQ(stats.simulated, 1u);
-    EXPECT_EQ(stats.failed, 0u);
+                ::testing::ExitedWithCode(1), "fz-a/baseline failed");
 }
 
 TEST(FaultRecovery, WatchdogCutsOffSlowJobsWithoutRetry)
@@ -665,7 +753,7 @@ TEST(FaultRecovery, WatchdogCutsOffSlowJobsWithoutRetry)
 
     SweepStats stats = runner.sweepStats();
     EXPECT_EQ(stats.failed, 1u);
-    EXPECT_EQ(stats.retries, 0u); // deadline overruns are not transient
+    EXPECT_EQ(stats.retries, 0u); // failed runs are never retried
 }
 
 TEST(FaultRecovery, UnknownAliasIsNotFoundNotRetried)
@@ -681,16 +769,8 @@ TEST(FaultRecovery, UnknownAliasIsNotFoundNotRetried)
 TEST(FaultRecovery, FailuresAreMemoizedNotRetriedPerRequester)
 {
     std::atomic<int> builds{0};
-    WorkloadFactory factory =
-        [&builds](const std::string &alias, int w,
-                  int h) -> std::unique_ptr<Workload> {
-        builds.fetch_add(1);
-        (void)alias;
-        (void)w;
-        (void)h;
-        return nullptr; // every build "fails": NotFound, permanent
-    };
-    ExperimentRunner runner(factory, tinyParams(1), FaultPlan{});
+    ExperimentRunner runner(failingFactory({"fz-a"}, &builds),
+                            tinyParams(1), FaultPlan{});
     SimConfig cfg = SimConfig::baseline(tinyParams(1).gpuConfig());
 
     EXPECT_FALSE(runner.tryRun("fz-a", cfg).ok());
@@ -710,11 +790,10 @@ TEST(FaultRecovery, SurvivorsOfAFaultySweepMatchTheCleanRun)
     ExperimentRunner clean(tinyFactory(), tinyParams(1), FaultPlan{});
     std::vector<std::string> want = dumps(clean.runAll(reqs));
 
-    // Moderate injected fault pressure, serial for a deterministic draw
-    // order; some runs may exhaust their retries, the rest must be
+    // One workload is broken: its runs fail, the rest must be
     // byte-identical to the clean sweep.
-    ExperimentRunner faulty(tinyFactory(), tinyParams(1),
-                            planFor(FaultSite::JobExecute, 0.6, 11));
+    ExperimentRunner faulty(failingFactory({"fz-b"}), tinyParams(1),
+                            FaultPlan{});
     BatchOutcome outcome = faulty.runAllChecked(reqs);
     ASSERT_EQ(outcome.results.size(), reqs.size());
 
@@ -734,10 +813,13 @@ TEST(FaultRecovery, SurvivorsOfAFaultySweepMatchTheCleanRun)
     }
     EXPECT_EQ(survivors + outcome.failures.size(), reqs.size());
     EXPECT_EQ(faulty.sweepStats().failed, outcome.failures.size());
+    for (const RunFailure &f : outcome.failures)
+        EXPECT_EQ(f.alias, "fz-b");
+    EXPECT_EQ(survivors, 3u);
 
-    // Deterministic injection: the same plan fails the same runs.
-    ExperimentRunner replay(tinyFactory(), tinyParams(1),
-                            planFor(FaultSite::JobExecute, 0.6, 11));
+    // Deterministic: the same workloads fail the same runs.
+    ExperimentRunner replay(failingFactory({"fz-b"}), tinyParams(1),
+                            FaultPlan{});
     BatchOutcome outcome2 = replay.runAllChecked(reqs);
     ASSERT_EQ(outcome2.failures.size(), outcome.failures.size());
     for (std::size_t i = 0; i < outcome.failures.size(); ++i)

@@ -2,7 +2,7 @@
  * @file
  * Metrics registry tests: counter/gauge/histogram semantics, label
  * identity, sticky types, JSON output round-tripped through the driver
- * parser, the Prometheus exposition shape, and — end to end — that the
+ * parser, and — end to end — that the
  * metrics.json a sweep exports agrees exactly with the runner's own
  * printed accounting (SweepStats) and the per-run simulation totals.
  */
@@ -111,16 +111,6 @@ TEST_F(MetricsTest, HistogramBucketsCumulativeInPromPerBucketInJson)
     EXPECT_EQ(buckets.at(2).at("count").asU64(), 1u); // 50
     EXPECT_EQ(e.at("sum").asDouble(), 62.5);
     EXPECT_EQ(e.at("count").asU64(), 4u);
-
-    // Prometheus buckets are cumulative and end at +Inf == _count.
-    std::string prom = metricsToProm();
-    EXPECT_NE(prom.find("# TYPE wall histogram"), std::string::npos);
-    EXPECT_NE(prom.find("wall_bucket{le=\"1\"} 1\n"), std::string::npos);
-    EXPECT_NE(prom.find("wall_bucket{le=\"10\"} 3\n"), std::string::npos);
-    EXPECT_NE(prom.find("wall_bucket{le=\"+Inf\"} 4\n"),
-              std::string::npos);
-    EXPECT_NE(prom.find("wall_sum 62.5\n"), std::string::npos);
-    EXPECT_NE(prom.find("wall_count 4\n"), std::string::npos);
 }
 
 TEST_F(MetricsTest, TypeConflictsAreCountedNotCorrupting)
@@ -159,13 +149,6 @@ TEST_F(MetricsTest, JsonRoundTripsSortedAndIntegral)
     // compare textually against the printed tables.
     EXPECT_NE(text.find("\"value\":3"), std::string::npos);
     EXPECT_EQ(text.find("\"value\":3.0"), std::string::npos);
-
-    // Prometheus shape for plain counters/gauges.
-    std::string prom = metricsToProm();
-    EXPECT_NE(prom.find("# TYPE a_counter counter"), std::string::npos);
-    EXPECT_NE(prom.find("a_counter{cfg=\"evr\"} 3\n"),
-              std::string::npos);
-    EXPECT_NE(prom.find("# TYPE b_gauge gauge"), std::string::npos);
 }
 
 TEST_F(MetricsTest, EscapesHostileLabelValues)
@@ -177,48 +160,6 @@ TEST_F(MetricsTest, EscapesHostileLabelValues)
     ASSERT_EQ(idx.size(), 1u);
     EXPECT_EQ(idx.begin()->second.at("labels").at("path").asString(),
               "a\"b\\c\nd");
-}
-
-TEST(PromEscaping, HostileLabelsStayParseable)
-{
-    metricsReset();
-    metricsCounterAdd("evrsim_hostile_total", 3.0,
-                      {{"path", "C:\\tmp\\x"},
-                       {"msg", "say \"hi\"\nbye"},
-                       {"bad-name! 1", "v"}});
-    std::string prom = metricsToProm();
-
-    // Escapes per the exposition format: backslash, quote, newline.
-    EXPECT_NE(prom.find("path=\"C:\\\\tmp\\\\x\""), std::string::npos)
-        << prom;
-    EXPECT_NE(prom.find("msg=\"say \\\"hi\\\"\\nbye\""),
-              std::string::npos)
-        << prom;
-    // Hostile label *names* are sanitized, not emitted raw.
-    EXPECT_NE(prom.find("bad_name__1=\"v\""), std::string::npos) << prom;
-    EXPECT_EQ(prom.find("bad-name"), std::string::npos) << prom;
-
-    // Structural invariant: every line is a comment or name{...} value
-    // with no raw newline or quote imbalance inside the braces.
-    std::size_t start = 0;
-    while (start < prom.size()) {
-        std::size_t nl = prom.find('\n', start);
-        if (nl == std::string::npos)
-            nl = prom.size();
-        std::string line = prom.substr(start, nl - start);
-        start = nl + 1;
-        if (line.empty() || line[0] == '#')
-            continue;
-        int quotes = 0;
-        for (std::size_t i = 0; i < line.size(); ++i) {
-            if (line[i] == '"' && (i == 0 || line[i - 1] != '\\'))
-                ++quotes;
-        }
-        EXPECT_EQ(quotes % 2, 0) << "torn line: " << line;
-        std::size_t close = line.rfind('}');
-        ASSERT_NE(close, std::string::npos) << line;
-        EXPECT_LT(close + 1, line.size()) << line; // trailing value
-    }
 }
 
 /**
@@ -292,11 +233,4 @@ TEST_F(MetricsTest, SweepArtifactTotalsMatchSweepStats)
         EXPECT_NEAR(energy.value(), outcome.results[i].energy.total(),
                     1e-6 * outcome.results[i].energy.total());
     }
-
-    // The Prometheus twin exists and mentions the same series.
-    std::string prom = slurp(dir / "metrics.prom");
-    EXPECT_NE(prom.find("# TYPE evrsim_sweep_requested gauge"),
-              std::string::npos);
-    EXPECT_NE(prom.find("# TYPE evrsim_sim_wall_ms histogram"),
-              std::string::npos);
 }

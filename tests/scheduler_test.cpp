@@ -376,10 +376,8 @@ TEST(Scheduler, CacheWriteLeavesNoTempFilesAndParses)
 
     int json_files = 0;
     for (const auto &entry : std::filesystem::directory_iterator(dir)) {
-        // The write-ahead sweep journal and the live-telemetry
-        // heartbeat log live alongside the entries.
-        if (entry.path().filename() == "sweep.journal" ||
-            entry.path().filename() == "heartbeat.jsonl")
+        // The live-telemetry heartbeat log lives alongside the entries.
+        if (entry.path().filename() == "heartbeat.jsonl")
             continue;
         EXPECT_EQ(entry.path().extension(), ".json")
             << "leftover temp file " << entry.path();
