@@ -50,9 +50,9 @@ struct BenchContext {
         installCrashHandler();
         // Ctrl-C / SIGTERM drains the sweep instead of killing it:
         // running jobs finish and are cached, queued ones are shed
-        // (Cancelled), the telemetry artifacts flush, and exitCode()
-        // maps to 130/143. Re-running the binary then simulates only
-        // what the cache does not hold.
+        // (Cancelled), summary.json and the trace are written, and
+        // exitCode() maps to 130/143. Re-running the binary then
+        // simulates only what the cache does not hold.
         installShutdownHandler();
     }
 
@@ -75,9 +75,11 @@ struct BenchContext {
     }
 
     /**
-     * Execute every declared run on the EVRSIM_JOBS-wide scheduler and
-     * print the sweep throughput summary. Later run() calls for the
-     * declared triples return instantly from the in-memory memo.
+     * Execute every declared run on the EVRSIM_JOBS-wide scheduler,
+     * print the sweep throughput summary and write it to
+     * <cache_dir>/summary.json (when the cache is on). Later run()
+     * calls for the declared triples return instantly from the
+     * in-memory memo.
      *
      * Runs that fail are reported and excluded from aliases(); the
      * binary still prints its tables from the surviving runs and
@@ -90,35 +92,19 @@ struct BenchContext {
         printSweepSummary(runner);
         printFailureReport(outcome);
 
-        // Observability artifacts: summary.json in the cache dir (or at
-        // EVRSIM_SUMMARY), metrics.json in the metrics dir, and the
-        // trace file (also flushed at exit; flushing here too makes the
-        // sweep's spans durable before the tables print).
-        std::string summary = summaryPath();
-        if (!summary.empty())
+        // summary.json, the one sweep-level file, and the trace (also
+        // flushed at exit; flushing here too makes the sweep's spans
+        // durable before the tables print).
+        if (params.write_summary && params.use_cache) {
+            std::string summary = params.cache_dir + "/summary.json";
             if (Status s = writeSweepSummaryJson(runner, outcome, summary);
                 !s.ok())
                 warn("could not write %s: %s", summary.c_str(),
                      s.message().c_str());
-        if (Status s = runner.writeMetricsArtifacts(); !s.ok())
-            warn("could not write metrics artifacts: %s",
-                 s.message().c_str());
+        }
         if (traceActive())
             if (Status s = traceWrite(); !s.ok())
                 warn("could not write trace: %s", s.message().c_str());
-    }
-
-    /** Where summary.json goes; empty = disabled. */
-    std::string
-    summaryPath() const
-    {
-        if (!params.write_summary)
-            return {};
-        if (!params.summary_path.empty())
-            return params.summary_path;
-        if (!params.use_cache)
-            return {};
-        return params.cache_dir + "/summary.json";
     }
 
     /** True when every declared run for @p alias succeeded. */
@@ -152,7 +138,7 @@ struct BenchContext {
     /** Process exit status: 0 on a clean sweep, 1 if any run failed;
      *  128+signal (130/143) after a cooperative shutdown, like a
      *  conventionally signal-terminated process — except the finished
-     *  runs' cache entries and the telemetry artifacts made it out
+     *  runs' cache entries, summary.json and the trace made it out
      *  first. */
     int
     exitCode() const

@@ -85,7 +85,7 @@ class JobPool
     /** Number of escaped-exception failures recorded so far. */
     std::size_t failureCount() const;
 
-    /** Jobs queued or currently running (heartbeat telemetry). */
+    /** Jobs queued or currently running (heartbeat status line). */
     std::size_t pendingCount() const;
 
     int threadCount() const { return threads_; }

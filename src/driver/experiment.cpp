@@ -19,7 +19,6 @@
 #include "common/env.hpp"
 #include "common/shutdown.hpp"
 #include "common/log.hpp"
-#include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "driver/envelope.hpp"
 #include "common/job_pool.hpp"
@@ -43,23 +42,19 @@ struct CrashContextGuard {
 };
 
 /**
- * Live sweep telemetry: a timer thread that, every interval, prints a
- * one-line progress status (completed/total, sims/s, ETA, failures,
- * cache ratio) and appends the same numbers as one JSON line to
- * heartbeat.jsonl. A terminal record is always appended when the sweep
- * ends, so even a sweep faster than one interval leaves a
- * machine-readable trail; records append (never truncate) so a re-run
- * sweep extends the same file.
+ * Live sweep progress: a timer thread that, every interval, prints a
+ * one-line status to stderr (completed/total, sims/s, frames/s, ETA,
+ * queue depth, failures, cache ratio). It writes no file: per-run
+ * numbers live in the cache entries and sweep totals in summary.json.
  */
 class SweepHeartbeat
 {
   public:
     SweepHeartbeat(const ExperimentRunner &runner, const JobPool &pool,
                    const std::atomic<std::size_t> &completed,
-                   std::size_t total, int interval_ms, std::string path)
+                   std::size_t total, int interval_ms)
         : runner_(runner), pool_(pool), completed_(completed),
-          total_(total), path_(std::move(path)),
-          start_(std::chrono::steady_clock::now()),
+          total_(total), start_(std::chrono::steady_clock::now()),
           thread_([this, interval_ms] { loop(interval_ms); })
     {
     }
@@ -72,7 +67,6 @@ class SweepHeartbeat
         }
         cv_.notify_all();
         thread_.join();
-        emit(true);
     }
 
   private:
@@ -85,14 +79,14 @@ class SweepHeartbeat
                              [this] { return stop_; }))
                 return;
             lock.unlock();
-            emit(false);
+            emit();
             lock.lock();
         }
     }
 
-    /** One telemetry sample: status line (ticks only) + JSONL record. */
+    /** One status line. */
     void
-    emit(bool final_record)
+    emit()
     {
         SweepStats s = runner_.sweepStats();
         std::size_t done = completed_.load(std::memory_order_relaxed);
@@ -109,89 +103,26 @@ class SweepHeartbeat
             s.requested > 0
                 ? static_cast<double>(served) / s.requested
                 : 0.0;
-
-        if (!final_record) {
-            std::fprintf(
-                stderr,
-                "[sweep] %zu/%zu done (%.0f%%), %.2f sims/s, "
-                "%.1f frames/s, ETA %.0fs, queue %zu, failed %llu, "
-                "cache %.0f%%\n",
-                done, total_,
-                total_ > 0 ? 100.0 * done / total_ : 100.0, sims_per_s,
-                frames_per_s, eta_s, pool_.pendingCount(),
-                static_cast<unsigned long long>(s.failed),
-                100.0 * cache_ratio);
-        }
-        if (path_.empty())
-            return;
-
-        Json rec = Json::object();
-        rec.set("completed", static_cast<std::uint64_t>(done));
-        rec.set("total", static_cast<std::uint64_t>(total_));
-        rec.set("elapsed_s", elapsed_s);
-        rec.set("sims_per_s", sims_per_s);
-        rec.set("frames_per_s", frames_per_s);
-        rec.set("eta_s", eta_s);
-        rec.set("pending", static_cast<std::uint64_t>(
-                               pool_.pendingCount()));
-        rec.set("simulated", s.simulated);
-        rec.set("disk_hits", s.disk_hits);
-        rec.set("memo_hits", s.memo_hits);
-        rec.set("cache_ratio", cache_ratio);
-        rec.set("failed", s.failed);
-        rec.set("quarantined", s.quarantined);
-        rec.set("final", final_record);
-
-        std::ofstream out(path_, std::ios::app);
-        if (out)
-            out << rec.dump() << "\n";
+        std::fprintf(
+            stderr,
+            "[sweep] %zu/%zu done (%.0f%%), %.2f sims/s, "
+            "%.1f frames/s, ETA %.0fs, queue %zu, failed %llu, "
+            "cache %.0f%%\n",
+            done, total_, total_ > 0 ? 100.0 * done / total_ : 100.0,
+            sims_per_s, frames_per_s, eta_s, pool_.pendingCount(),
+            static_cast<unsigned long long>(s.failed), 100.0 * cache_ratio);
     }
 
     const ExperimentRunner &runner_;
     const JobPool &pool_;
     const std::atomic<std::size_t> &completed_;
     std::size_t total_;
-    std::string path_;
     std::chrono::steady_clock::time_point start_;
     std::mutex mu_;
     std::condition_variable cv_;
     bool stop_ = false;
     std::thread thread_; ///< last member: starts after state is ready
 };
-
-/**
- * Per-run metrics adoption: every FrameStats counter (and the nested
- * memory sub-object), labeled by (workload, config), plus the run's
- * energy total and the wall-time histogram. Field names track
- * run_result.cpp's serialization table automatically — a counter added
- * there shows up here unprompted.
- */
-void
-recordRunMetrics(const std::string &alias, const std::string &config,
-                 const RunResult &result, double wall_ms)
-{
-    MetricLabels labels{{"workload", alias}, {"config", config}};
-    metricsCounterAdd("evrsim_runs_simulated_total", 1, labels);
-    metricsCounterAdd("evrsim_frames_simulated_total",
-                      static_cast<double>(result.frames), labels);
-    metricsCounterAdd("evrsim_energy_total_nj", result.energy.total(),
-                      labels);
-    metricsHistogramObserve("evrsim_sim_wall_ms", wall_ms,
-                            {{"config", config}});
-
-    Json stats = frameStatsToJson(result.totals);
-    for (const auto &[key, value] : stats.members()) {
-        if (value.type() == Json::Type::Number) {
-            metricsCounterAdd("evrsim_stat_" + key, value.asDouble(),
-                              labels);
-        } else if (value.type() == Json::Type::Object) {
-            for (const auto &[sub, subval] : value.members())
-                if (subval.type() == Json::Type::Number)
-                    metricsCounterAdd("evrsim_stat_" + key + "_" + sub,
-                                      subval.asDouble(), labels);
-        }
-    }
-}
 
 } // namespace
 
@@ -278,23 +209,6 @@ benchParamsFromEnvChecked()
         p.cache_dir = dir;
     else
         p.cache_dir = ".bench_cache";
-
-    // Placement knobs resolved after cache_dir so "1" can mean "the
-    // cache dir".
-    if (const char *m = std::getenv("EVRSIM_METRICS")) {
-        std::string where = m;
-        if (where == "1")
-            p.metrics_dir = p.cache_dir;
-        else if (where != "0" && !where.empty())
-            p.metrics_dir = where;
-    }
-    if (const char *sm = std::getenv("EVRSIM_SUMMARY")) {
-        std::string where = sm;
-        if (where == "0" || where.empty())
-            p.write_summary = false;
-        else if (where != "1")
-            p.summary_path = where;
-    }
     return p;
 }
 
@@ -638,7 +552,6 @@ Result<RunResult>
 ExperimentRunner::tryRun(const std::string &alias, const SimConfig &config)
 {
     std::string key = cachePath(alias, config);
-    const bool metrics_on = !params_.metrics_dir.empty();
 
     std::shared_ptr<MemoEntry> entry;
     {
@@ -656,9 +569,6 @@ ExperimentRunner::tryRun(const std::string &alias, const SimConfig &config)
             if (traceEnabled(TraceCat::Cache))
                 traceInstant(TraceCat::Cache, "memo-hit",
                              alias + "/" + config.name);
-            if (metrics_on)
-                metricsCounterAdd("evrsim_runs_total", 1,
-                                  {{"outcome", "memo"}});
             return entry->outcome;
         }
         entry = std::make_shared<MemoEntry>();
@@ -693,19 +603,6 @@ ExperimentRunner::tryRun(const std::string &alias, const SimConfig &config)
             stats_.degraded_tiles += outcome.value().totals.degraded_tiles;
             stats_.validate_violations +=
                 outcome.value().totals.validate_violations;
-        }
-    }
-    if (metrics_on) {
-        if (!outcome.ok())
-            metricsCounterAdd("evrsim_runs_total", 1,
-                              {{"outcome", "failed"}});
-        else if (from_disk)
-            metricsCounterAdd("evrsim_runs_total", 1,
-                              {{"outcome", "disk"}});
-        else {
-            metricsCounterAdd("evrsim_runs_total", 1,
-                              {{"outcome", "simulated"}});
-            recordRunMetrics(alias, config.name, outcome.value(), wall_ms);
         }
     }
     memo_done_.notify_all();
@@ -743,15 +640,15 @@ ExperimentRunner::runAllChecked(const std::vector<RunRequest> &requests)
         if (params_.heartbeat_ms > 0 && !requests.empty())
             heartbeat = std::make_unique<SweepHeartbeat>(
                 *this, pool, completed, requests.size(),
-                params_.heartbeat_ms, heartbeatPath());
+                params_.heartbeat_ms);
         for (std::size_t i = 0; i < requests.size(); ++i) {
             pool.submit([this, &requests, &batch, &failures_mu,
                          &completed, i] {
                 // Cooperative shutdown: a job not yet started when the
                 // signal arrived is shed, not simulated — running jobs
-                // finish (and are cached), telemetry flushes through the
-                // normal end-of-sweep path, and the binary exits
-                // 128+signal.
+                // finish (and are cached), summary.json and the trace
+                // are written by the normal end-of-sweep path, and the
+                // binary exits 128+signal.
                 if (shutdownRequested()) {
                     {
                         std::lock_guard<std::mutex> lock(failures_mu);
@@ -785,7 +682,6 @@ ExperimentRunner::runAllChecked(const std::vector<RunRequest> &requests)
         }
         pool.wait();
         active_pool_ = nullptr;
-        heartbeat.reset(); // appends the terminal heartbeat record
         // tryRun() catches everything a job can raise, so escaped
         // exceptions here are scheduler bugs, not workload faults.
         EVRSIM_ASSERT(pool.failureCount() == 0);
@@ -819,62 +715,6 @@ ExperimentRunner::sweepStats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
-}
-
-std::string
-ExperimentRunner::heartbeatPath() const
-{
-    std::string dir = !params_.metrics_dir.empty()
-                          ? params_.metrics_dir
-                          : (params_.use_cache ? params_.cache_dir
-                                               : std::string());
-    if (dir.empty())
-        return {};
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    return (std::filesystem::path(dir) / "heartbeat.jsonl").string();
-}
-
-Status
-ExperimentRunner::writeMetricsArtifacts()
-{
-    if (params_.metrics_dir.empty())
-        return {};
-
-    // Sweep-level aggregates as gauges, refreshed at export time so the
-    // JSON numbers are exactly the ones printSweepSummary() prints.
-    SweepStats s = sweepStats();
-    metricsGaugeSet("evrsim_sweep_requested",
-                    static_cast<double>(s.requested));
-    metricsGaugeSet("evrsim_sweep_simulated",
-                    static_cast<double>(s.simulated));
-    metricsGaugeSet("evrsim_sweep_disk_hits",
-                    static_cast<double>(s.disk_hits));
-    metricsGaugeSet("evrsim_sweep_memo_hits",
-                    static_cast<double>(s.memo_hits));
-    metricsGaugeSet("evrsim_sweep_frames_simulated",
-                    static_cast<double>(s.frames_simulated));
-    metricsGaugeSet("evrsim_sweep_sim_wall_ms", s.sim_wall_ms);
-    metricsGaugeSet("evrsim_sweep_batch_wall_ms", s.batch_wall_ms);
-    metricsGaugeSet("evrsim_sweep_quarantined",
-                    static_cast<double>(s.quarantined));
-    metricsGaugeSet("evrsim_sweep_failed", static_cast<double>(s.failed));
-    metricsGaugeSet("evrsim_sweep_corrupt_evicted",
-                    static_cast<double>(s.corrupt_evicted));
-    metricsGaugeSet("evrsim_sweep_cancelled",
-                    static_cast<double>(s.cancelled));
-    metricsGaugeSet("evrsim_sweep_degraded_tiles",
-                    static_cast<double>(s.degraded_tiles));
-    metricsGaugeSet("evrsim_sweep_validate_violations",
-                    static_cast<double>(s.validate_violations));
-    metricsGaugeSet("evrsim_sweep_jobs",
-                    static_cast<double>(params_.resolvedJobs()));
-
-    std::error_code ec;
-    std::filesystem::create_directories(params_.metrics_dir, ec);
-    return metricsWriteJson(
-        (std::filesystem::path(params_.metrics_dir) / "metrics.json")
-            .string());
 }
 
 } // namespace evrsim

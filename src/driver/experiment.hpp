@@ -74,21 +74,13 @@ struct BenchParams {
     ValidationConfig validation;
     /** Console verbosity (EVRSIM_LOG: quiet | normal | verbose). */
     LogLevel log_level = LogLevel::Normal;
-    /** Directory receiving metrics.json after a sweep
-     *  (EVRSIM_METRICS: unset or 0 = disabled, 1 = the cache dir,
-     *  anything else = that directory). Empty = metrics disabled, so
-     *  the default path records nothing. */
-    std::string metrics_dir;
-    /** Live sweep telemetry cadence in milliseconds (EVRSIM_HEARTBEAT_MS;
-     *  0 disables the heartbeat thread entirely). Each tick prints a
-     *  status line and appends a record to heartbeat.jsonl in
-     *  metrics_dir, else in the cache dir. */
+    /** Status-line cadence in milliseconds (EVRSIM_HEARTBEAT_MS; 0
+     *  disables the heartbeat thread). Each tick prints one progress
+     *  line to stderr; no file is written. */
     int heartbeat_ms = 2000;
-    /** Emit the sweep throughput summary as a summary.json artifact
-     *  (EVRSIM_SUMMARY: 0 = off, 1/unset = <cache_dir>/summary.json,
-     *  anything else = that path). */
+    /** Write <cache_dir>/summary.json after each bench sweep
+     *  (BenchContext::prefetch) when the cache is on. */
     bool write_summary = true;
-    std::string summary_path; ///< empty = <cache_dir>/summary.json
 
     /** GpuConfig for these parameters (Table II otherwise). */
     GpuConfig gpuConfig() const;
@@ -113,11 +105,7 @@ struct BenchParams {
  *   EVRSIM_VALIDATE=mode    off | permissive | strict (see validate.hpp)
  *   EVRSIM_VALIDATE_SAMPLE=r image-identity audit tile sample rate
  *   EVRSIM_LOG=level        quiet | normal | verbose console verbosity
- *   EVRSIM_METRICS=where    0 = off, 1 = cache dir, else a directory:
- *                           write metrics.json per sweep
- *   EVRSIM_HEARTBEAT_MS=n   live telemetry cadence (0 = off)
- *   EVRSIM_SUMMARY=where    0 = off, 1 = the cache dir, else a path:
- *                           write summary.json per sweep
+ *   EVRSIM_HEARTBEAT_MS=n   stderr status-line cadence (0 = off)
  *
  * Numeric knobs are validated strictly: a value that is not entirely a
  * number in the accepted range is InvalidArgument naming the variable,
@@ -253,17 +241,6 @@ class ExperimentRunner
 
     /** Snapshot of the sweep accounting so far. */
     SweepStats sweepStats() const;
-
-    /**
-     * Export the metrics registry (per-run counters recorded while
-     * simulating, plus sweep-level `evrsim_sweep_*` gauges refreshed
-     * from sweepStats() at call time) as metrics.json in
-     * params().metrics_dir. No-op (Ok) when metrics are disabled.
-     */
-    Status writeMetricsArtifacts();
-
-    /** Where the heartbeat file goes; empty = no file (stderr only). */
-    std::string heartbeatPath() const;
 
     /** Injection state (tests assert on draw/failure counts). */
     const FaultInjector &faultInjector() const { return fault_; }

@@ -206,6 +206,7 @@ writeSweepSummaryJson(const ExperimentRunner &runner,
     doc.set("quarantined", s.quarantined);
     doc.set("failed", s.failed);
     doc.set("corrupt_evicted", s.corrupt_evicted);
+    doc.set("cancelled", s.cancelled);
     doc.set("degraded_tiles", s.degraded_tiles);
     doc.set("validate_violations", s.validate_violations);
 

@@ -72,10 +72,10 @@ void printFailureReport(const BatchOutcome &outcome);
 
 /**
  * Write the numbers printSweepSummary() prints — run accounting,
- * throughput, fault counters — plus the batch's failed runs as a
- * summary.json artifact at @p path (atomic tmp+rename), so BENCH_*
- * trajectories can be collected mechanically instead of scraped from
- * stdout.
+ * throughput, fault counters (including runs cancelled by a shutdown
+ * signal) — plus the batch's failed runs as summary.json at @p path
+ * (atomic tmp+rename): the one sweep-level file. Per-run numbers live
+ * in the result-cache entries.
  */
 Status writeSweepSummaryJson(const ExperimentRunner &runner,
                              const BatchOutcome &outcome,

@@ -376,9 +376,6 @@ TEST(Scheduler, CacheWriteLeavesNoTempFilesAndParses)
 
     int json_files = 0;
     for (const auto &entry : std::filesystem::directory_iterator(dir)) {
-        // The live-telemetry heartbeat log lives alongside the entries.
-        if (entry.path().filename() == "heartbeat.jsonl")
-            continue;
         EXPECT_EQ(entry.path().extension(), ".json")
             << "leftover temp file " << entry.path();
         std::ifstream in(entry.path());
