@@ -18,8 +18,11 @@
 #ifndef EVRSIM_BENCH_BENCH_COMMON_HPP
 #define EVRSIM_BENCH_BENCH_COMMON_HPP
 
+#include <errno.h> // program_invocation_short_name (glibc)
+
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crash_handler.hpp"
@@ -40,8 +43,15 @@ struct BenchContext {
     std::vector<RunRequest> plan;
     BatchOutcome outcome; ///< filled by prefetch()
 
-    BenchContext()
-        : params(benchParamsFromEnv()), runner(workloads::factory(), params)
+    /** The Table III registry under environment-resolved parameters. */
+    BenchContext() : BenchContext(workloads::factory(), benchParamsFromEnv())
+    {
+    }
+
+    /** Any workload source (tests decorate the registry to inject
+     *  faults) under explicit parameters. */
+    BenchContext(WorkloadFactory factory, const BenchParams &p)
+        : params(p), runner(std::move(factory), params)
     {
         setLogLevel(params.log_level);
         installTracing();
@@ -50,7 +60,7 @@ struct BenchContext {
         installCrashHandler();
         // Ctrl-C / SIGTERM drains the sweep instead of killing it:
         // running jobs finish and are cached, queued ones are shed
-        // (Cancelled), summary.json and the trace are written, and
+        // (Cancelled), the summary and the trace are written, and
         // exitCode() maps to 130/143. Re-running the binary then
         // simulates only what the cache does not hold.
         installShutdownHandler();
@@ -77,8 +87,8 @@ struct BenchContext {
     /**
      * Execute every declared run on the EVRSIM_JOBS-wide scheduler,
      * print the sweep throughput summary and write it to
-     * <cache_dir>/summary.json (when the cache is on). Later run()
-     * calls for the declared triples return instantly from the
+     * <cache_dir>/summary-<binary>.json (when the cache is on). Later
+     * run() calls for the declared triples return instantly from the
      * in-memory memo.
      *
      * Runs that fail are reported and excluded from aliases(); the
@@ -92,11 +102,14 @@ struct BenchContext {
         printSweepSummary(runner);
         printFailureReport(outcome);
 
-        // summary.json, the one sweep-level file, and the trace (also
+        // The summary, the one sweep-level file, and the trace (also
         // flushed at exit; flushing here too makes the sweep's spans
-        // durable before the tables print).
+        // durable before the tables print). One summary per binary, so
+        // a regeneration loop keeps every binary's failures and
+        // cancellations, not only the last one's.
         if (params.write_summary && params.use_cache) {
-            std::string summary = params.cache_dir + "/summary.json";
+            std::string summary = params.cache_dir + "/summary-" +
+                                  program_invocation_short_name + ".json";
             if (Status s = writeSweepSummaryJson(runner, outcome, summary);
                 !s.ok())
                 warn("could not write %s: %s", summary.c_str(),
@@ -138,7 +151,7 @@ struct BenchContext {
     /** Process exit status: 0 on a clean sweep, 1 if any run failed;
      *  128+signal (130/143) after a cooperative shutdown, like a
      *  conventionally signal-terminated process — except the finished
-     *  runs' cache entries, summary.json and the trace made it out
+     *  runs' cache entries, the summary and the trace made it out
      *  first. */
     int
     exitCode() const

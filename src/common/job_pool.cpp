@@ -163,10 +163,15 @@ JobPool::runBatch(std::vector<std::function<void()>> jobs)
     }
 
     // Deterministic failure surface: lowest-index escapee wins, no
-    // matter which thread ran it or when it finished.
+    // matter which thread ran it or when it finished. It is moved out
+    // of the batch first: a worker's stale claim ticket may drop the
+    // last BatchState reference at any time, and that must not release
+    // the exception the caller is about to read.
     for (std::exception_ptr &err : batch->errors)
-        if (err)
-            std::rethrow_exception(err);
+        if (err) {
+            std::exception_ptr first = std::move(err);
+            std::rethrow_exception(first);
+        }
 }
 
 void

@@ -10,15 +10,15 @@ namespace evrsim {
 
 namespace {
 
+constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
+
 /** SplitMix64 step, used to expand a single seed into generator state. */
 std::uint64_t
 splitMix64(std::uint64_t &state)
 {
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    std::uint64_t z = mix64(state);
+    state += kGolden;
+    return z;
 }
 
 std::uint64_t
@@ -28,6 +28,15 @@ rotl(std::uint64_t x, int k)
 }
 
 } // namespace
+
+std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += kGolden;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
 
 Rng::Rng(std::uint64_t seed)
 {

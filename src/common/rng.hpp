@@ -14,6 +14,13 @@
 
 namespace evrsim {
 
+/**
+ * SplitMix64 finalizer: an uncorrelated u64 from any input. The one
+ * mixing primitive behind every "random but reproducible" decision:
+ * Rng seeding, the validation tile sampler and the scene fuzzer.
+ */
+std::uint64_t mix64(std::uint64_t x);
+
 /** xoshiro256** deterministic PRNG. */
 class Rng
 {

@@ -5,15 +5,15 @@
  * The crash handler (crash_handler.hpp) covers *fatal* signals; an
  * operator's Ctrl-C or a systemd stop is different — it should end the
  * sweep cleanly, not kill it mid-write. Before this module, SIGINT
- * killed a bench with the default disposition: no summary.json and no
- * trace flush.
+ * killed a bench with the default disposition: no sweep summary and
+ * no trace flush.
  *
  * installShutdownHandler() arms SIGINT/SIGTERM handlers that only set a
  * flag (async-signal-safe by construction). The experiment scheduler
  * checks the flag before *starting* each job — already-running
  * simulations finish, queued ones are shed with ErrorCode::Cancelled —
- * so the sweep drains to a clean end: every finished run cached,
- * summary.json and the trace written by the normal end-of-sweep path,
+ * so the sweep drains to a clean end: every finished run cached, the
+ * sweep summary and the trace written by the normal end-of-sweep path,
  * and the process exits 128+signal (130 for SIGINT, 143 for SIGTERM)
  * like a conventional well-behaved daemon.
  */

@@ -20,8 +20,6 @@ errorCodeName(ErrorCode code)
         return "DATA_LOSS";
       case ErrorCode::Unavailable:
         return "UNAVAILABLE";
-      case ErrorCode::DeadlineExceeded:
-        return "DEADLINE_EXCEEDED";
       case ErrorCode::Internal:
         return "INTERNAL";
       case ErrorCode::InvariantViolation:

@@ -9,13 +9,13 @@
  *               (bad CLI/environment). Exit(1).
  *  - Status:    *recoverable* conditions inside the sweep machinery —
  *               a corrupt cache entry, an unknown workload alias, an
- *               injected or real I/O fault, a job deadline — which must
- *               cost one run, never the whole multi-hour sweep.
+ *               I/O fault, a strict-validation failure — which must
+ *               cost one run, never the whole sweep.
  *
  * Status carries a coarse ErrorCode plus a human-readable message.
  * Result<T> is a Status-or-value union for fallible producers. Both are
  * deliberately minimal (no payloads, no chaining beyond withContext) —
- * just enough structure for the experiment scheduler's quarantine and
+ * just enough structure for the experiment runner's cache-recovery and
  * failure-report policies to key off code().
  */
 #ifndef EVRSIM_COMMON_STATUS_HPP
@@ -31,11 +31,10 @@ namespace evrsim {
 /** Coarse error classification, in the spirit of absl::StatusCode. */
 enum class ErrorCode {
     Ok = 0,
-    InvalidArgument,  ///< malformed input (env knob, fault spec)
+    InvalidArgument,  ///< malformed input (env knob, scene)
     NotFound,         ///< entity absent (workload alias, cache file)
     DataLoss,         ///< entity present but unusable (corrupt cache)
     Unavailable,      ///< I/O failure (e.g. a file could not be published)
-    DeadlineExceeded, ///< job exceeded its wall-clock budget
     Internal,         ///< unexpected exception escaping a component
     /** A pipeline invariant failed under EVRSIM_VALIDATE=strict; the
      *  same inputs will violate it again. */
@@ -77,11 +76,6 @@ class Status
     unavailable(std::string msg)
     {
         return {ErrorCode::Unavailable, std::move(msg)};
-    }
-    static Status
-    deadlineExceeded(std::string msg)
-    {
-        return {ErrorCode::DeadlineExceeded, std::move(msg)};
     }
     static Status
     internal(std::string msg)

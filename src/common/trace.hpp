@@ -8,7 +8,7 @@
  * the fact in Perfetto / chrome://tracing:
  *
  *  - driver level: job queue wait, per-job execution, and cache
- *    hit/miss and quarantine instants;
+ *    hit/miss/corrupt instants;
  *  - simulation level: per-frame spans, the pipeline stages inside each
  *    frame (geometry+binning, raster, RE frame end), and — optionally,
  *    and usually sampled — per-tile raster spans.
@@ -50,7 +50,7 @@ namespace evrsim {
 /** Span categories; each is a bit in the enabled mask. */
 enum class TraceCat : unsigned {
     Driver = 0, ///< scheduler: queue wait, job execution
-    Cache,      ///< result-cache hits / misses / quarantines
+    Cache,      ///< result-cache hits / misses / corrupt entries
     Frame,      ///< one span per rendered frame
     Stage,      ///< pipeline stages inside a frame (geometry, raster, RE)
     Tile,       ///< per-tile raster spans (hot: sample with tile/N)

@@ -8,8 +8,8 @@
  * current location, and the CRC32 of the payload's canonical
  * re-serialization detects any value-level damage (truncation is
  * caught earlier by the parse). Every failure is DataLoss — the
- * caller's recovery policy (quarantine and re-simulate) decides what
- * that costs.
+ * caller's recovery policy (discard and re-simulate) decides what that
+ * costs.
  */
 #ifndef EVRSIM_DRIVER_ENVELOPE_HPP
 #define EVRSIM_DRIVER_ENVELOPE_HPP

@@ -22,7 +22,6 @@
 #include "common/trace.hpp"
 #include "driver/envelope.hpp"
 #include "common/job_pool.hpp"
-#include "scene/scene_fuzzer.hpp"
 
 namespace evrsim {
 
@@ -45,7 +44,7 @@ struct CrashContextGuard {
  * Live sweep progress: a timer thread that, every interval, prints a
  * one-line status to stderr (completed/total, sims/s, frames/s, ETA,
  * queue depth, failures, cache ratio). It writes no file: per-run
- * numbers live in the cache entries and sweep totals in summary.json.
+ * numbers live in the cache entries and sweep totals in the summary file.
  */
 class SweepHeartbeat
 {
@@ -175,12 +174,6 @@ benchParamsFromEnvChecked()
         return s;
     if (present)
         p.tile_jobs = static_cast<int>(v);
-    if (Status s = readIntKnob("EVRSIM_JOB_TIMEOUT_MS", 0, 86400000, v,
-                               present);
-        !s.ok())
-        return s;
-    if (present)
-        p.job_timeout_ms = static_cast<int>(v);
 
     int choice = 0;
     if (Status s = readChoiceKnob("EVRSIM_LOG",
@@ -223,15 +216,7 @@ benchParamsFromEnv()
 
 ExperimentRunner::ExperimentRunner(WorkloadFactory factory,
                                    const BenchParams &params)
-    : ExperimentRunner(std::move(factory), params,
-                       FaultInjector::planFromEnv())
-{
-}
-
-ExperimentRunner::ExperimentRunner(WorkloadFactory factory,
-                                   const BenchParams &params,
-                                   const FaultPlan &faults)
-    : factory_(std::move(factory)), params_(params), fault_(faults)
+    : factory_(std::move(factory)), params_(params)
 {
     EVRSIM_ASSERT(factory_ != nullptr);
 }
@@ -275,23 +260,6 @@ ExperimentRunner::trySimulate(const std::string &alias,
 
     auto start = std::chrono::steady_clock::now();
 
-    // Cooperative watchdog, checked between frames only: a runaway
-    // simulation is caught at the next frame boundary (frames are the
-    // natural unit of progress; nothing inside a frame blocks, so the
-    // overrun is bounded by one frame's wall-clock). A frame that never
-    // returns is not interrupted.
-    auto overDeadline = [&]() {
-        return params_.job_timeout_ms > 0 &&
-               elapsedMs(start) >
-                   static_cast<double>(params_.job_timeout_ms);
-    };
-    auto deadlineStatus = [&](int frames_done) {
-        return Status::deadlineExceeded(
-            alias + "/" + config.name + " exceeded EVRSIM_JOB_TIMEOUT_MS=" +
-            std::to_string(params_.job_timeout_ms) + " after " +
-            std::to_string(frames_done) + " frame(s)");
-    };
-
     SimConfig cfg = config;
     cfg.validation = effectiveValidation(config);
     if (Status s = cfg.checkValid(); !s.ok())
@@ -307,26 +275,10 @@ ExperimentRunner::trySimulate(const std::string &alias,
         CrashContextGuard crash_guard;
         crashContextSetRun(alias.c_str(), cfg.name.c_str());
 
-        // Scene-mutate fault site: corrupt the workload's frame copy
-        // before it reaches the simulator. The decision is keyed by
-        // (alias, absolute frame) only, so every configuration of a
-        // workload sees the identical corruption — which is what lets
-        // tests compare a corrupted EVR run against a corrupted
-        // baseline bit for bit.
-        const FaultSpec &mutate = fault_.spec(FaultSite::SceneMutate);
-        SceneFuzzer fuzzer(mutate.seed);
-        auto frameOf = [&](int absolute) {
-            Scene scene = workload->frame(absolute);
-            std::uint64_t key =
-                mix64(fnv1a64(alias) ^
-                      static_cast<std::uint64_t>(absolute));
-            if (fault_.shouldFailAt(FaultSite::SceneMutate, key))
-                fuzzer.corruptScene(scene, key);
-            return scene;
-        };
         auto renderChecked = [&](GpuSimulator &sim, int absolute) {
             crashContextSetFrame(absolute);
-            Result<FrameStats> fs = sim.tryRenderFrame(frameOf(absolute));
+            Result<FrameStats> fs =
+                sim.tryRenderFrame(workload->frame(absolute));
             if (!fs.ok())
                 return fs.status().withContext(alias + "/" + cfg.name +
                                                " frame " +
@@ -340,21 +292,15 @@ ExperimentRunner::trySimulate(const std::string &alias,
         workload->setup(sim);
 
         // Warm-up: establish FVP and signature state, then measure.
-        for (int f = 0; f < params_.warmup; ++f) {
+        for (int f = 0; f < params_.warmup; ++f)
             if (Status s = renderChecked(sim, f); !s.ok())
                 return s;
-            if (overDeadline())
-                return deadlineStatus(f + 1);
-        }
         sim.resetTotals();
 
-        for (int f = 0; f < params_.frames; ++f) {
+        for (int f = 0; f < params_.frames; ++f)
             if (Status s = renderChecked(sim, params_.warmup + f);
                 !s.ok())
                 return s;
-            if (overDeadline())
-                return deadlineStatus(params_.warmup + f + 1);
-        }
 
         RunResult r;
         r.workload = alias;
@@ -397,9 +343,6 @@ ExperimentRunner::loadCacheEntry(const std::string &path)
     if (!in.good() && !in.eof())
         return Status::dataLoss("read error on " + path);
 
-    if (fault_.shouldFail(FaultSite::CacheRead))
-        return Status::dataLoss("injected cache-read fault");
-
     // Envelope {schema, payload_crc32, payload} (driver/envelope.hpp).
     // The schema field guards against a foreign or stale document that
     // happens to land at a current filename; the CRC detects any
@@ -412,94 +355,9 @@ ExperimentRunner::loadCacheEntry(const std::string &path)
 }
 
 void
-ExperimentRunner::quarantine(const std::string &path, const Status &why)
-{
-    if (traceEnabled(TraceCat::Cache))
-        traceInstant(TraceCat::Cache, "cache-quarantine",
-                     std::filesystem::path(path).filename().string());
-
-    // Existing quarantined copies of this entry, as (seq, path) pairs
-    // parsed from the `<entry>.<seq>.corrupt` naming.
-    const std::string base =
-        std::filesystem::path(path).filename().string() + ".";
-    const std::string suffix = ".corrupt";
-    std::error_code ec;
-    std::vector<std::pair<long long, std::filesystem::path>> copies;
-    for (const auto &e : std::filesystem::directory_iterator(
-             std::filesystem::path(path).parent_path(), ec)) {
-        std::string name = e.path().filename().string();
-        if (name.size() <= base.size() + suffix.size())
-            continue;
-        if (name.compare(0, base.size(), base) != 0 ||
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) != 0)
-            continue;
-        std::string mid = name.substr(
-            base.size(), name.size() - base.size() - suffix.size());
-        if (mid.empty() ||
-            mid.find_first_not_of("0123456789") != std::string::npos)
-            continue;
-        copies.emplace_back(std::stoll(mid), e.path());
-    }
-
-    // Destination `<entry>.<seq>.corrupt` with seq = max existing + 1:
-    // successive quarantines keep distinct post-mortem evidence, seq
-    // order stays the age order even after evictions recycle low
-    // numbers, and the extension stays `.corrupt` so tooling that
-    // filters on it keeps working.
-    long long seq = 0;
-    for (const auto &copy : copies)
-        seq = std::max(seq, copy.first + 1);
-    std::string dest = path + "." + std::to_string(seq) + suffix;
-
-    std::filesystem::rename(path, dest, ec);
-    if (ec) {
-        // Could not set it aside (permissions, races): remove instead,
-        // so the bad entry cannot poison the next sweep either way.
-        warn("could not quarantine %s (%s); removing it", path.c_str(),
-             ec.message().c_str());
-        std::filesystem::remove(path, ec);
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.quarantined;
-        return;
-    }
-    warn("quarantined corrupt cache entry %s -> %s: %s", path.c_str(),
-         dest.c_str(), why.toString().c_str());
-    copies.emplace_back(seq, dest);
-
-    // Cap the pile: a bit-rotting cache would otherwise grow one
-    // `.corrupt` per damaged read forever. Keep the newest kCorruptKeep
-    // copies (highest sequence numbers), evict the rest, and account
-    // for the eviction in the sweep stats.
-    std::uint64_t evicted = 0;
-    const std::size_t keep = static_cast<std::size_t>(kCorruptKeep);
-    if (copies.size() > keep) {
-        std::sort(copies.begin(), copies.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first > b.first;
-                  });
-        for (std::size_t i = keep; i < copies.size(); ++i) {
-            std::filesystem::remove(copies[i].second, ec);
-            if (!ec)
-                ++evicted;
-        }
-    }
-
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.quarantined;
-    stats_.corrupt_evicted += evicted;
-}
-
-void
 ExperimentRunner::storeCacheEntry(const std::string &path,
                                   const RunResult &r)
 {
-    if (fault_.shouldFail(FaultSite::CacheWrite)) {
-        warn("injected cache-write fault, not publishing %s",
-             path.c_str());
-        return;
-    }
-
     std::error_code ec;
     std::filesystem::create_directories(params_.cache_dir, ec);
 
@@ -533,10 +391,18 @@ ExperimentRunner::computeUncached(const std::string &alias,
             traceInstant(TraceCat::Cache, "cache-miss",
                          alias + "/" + config.name);
         // A plain miss (NotFound) is the normal cold path; anything
-        // else means the entry exists but cannot be trusted — set it
-        // aside for post-mortem and fall through to re-simulation.
-        if (cached.status().code() != ErrorCode::NotFound)
-            quarantine(path, cached.status());
+        // else means the entry exists but cannot be trusted. Fall
+        // through to re-simulation: the fresh result is published over
+        // the damaged bytes by the same atomic rename as any entry.
+        if (cached.status().code() != ErrorCode::NotFound) {
+            if (traceEnabled(TraceCat::Cache))
+                traceInstant(TraceCat::Cache, "cache-corrupt",
+                             alias + "/" + config.name);
+            warn("discarding corrupt cache entry %s: %s", path.c_str(),
+                 cached.status().toString().c_str());
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.corrupt_entries;
+        }
     }
 
     // One attempt: the simulator is deterministic, so a failed run
@@ -646,9 +512,9 @@ ExperimentRunner::runAllChecked(const std::vector<RunRequest> &requests)
                          &completed, i] {
                 // Cooperative shutdown: a job not yet started when the
                 // signal arrived is shed, not simulated — running jobs
-                // finish (and are cached), summary.json and the trace
-                // are written by the normal end-of-sweep path, and the
-                // binary exits 128+signal.
+                // finish (and are cached), the sweep summary and the
+                // trace are written by the normal end-of-sweep path, and
+                // the binary exits 128+signal.
                 if (shutdownRequested()) {
                     {
                         std::lock_guard<std::mutex> lock(failures_mu);

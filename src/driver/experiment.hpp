@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "common/fault_injector.hpp"
 #include "common/log.hpp"
 #include "common/status.hpp"
 #include "common/validate.hpp"
@@ -64,10 +63,6 @@ struct BenchParams {
      *  1 = serial tiles). Tile jobs share the sweep scheduler's pool
      *  when it has workers, otherwise each simulator owns a pool. */
     int tile_jobs = 1;
-    /** Per-job wall-clock budget in milliseconds, checked between
-     *  frames only (cooperative watchdog: a frame that never returns is
-     *  not interrupted); 0 disables (EVRSIM_JOB_TIMEOUT_MS). */
-    int job_timeout_ms = 0;
     /** Ingestion validation + invariant auditing applied to every run
      *  whose SimConfig does not carry its own (EVRSIM_VALIDATE /
      *  EVRSIM_VALIDATE_SAMPLE). */
@@ -78,7 +73,7 @@ struct BenchParams {
      *  disables the heartbeat thread). Each tick prints one progress
      *  line to stderr; no file is written. */
     int heartbeat_ms = 2000;
-    /** Write <cache_dir>/summary.json after each bench sweep
+    /** Write <cache_dir>/summary-<binary>.json after each bench sweep
      *  (BenchContext::prefetch) when the cache is on. */
     bool write_summary = true;
 
@@ -100,8 +95,6 @@ struct BenchParams {
  *   EVRSIM_TILE_JOBS=n      tile-parallel rasterization inside each
  *                           simulation (default 1 = serial tiles;
  *                           results are byte-identical either way)
- *   EVRSIM_JOB_TIMEOUT_MS=n per-job wall-clock watchdog, checked
- *                           between frames (0 = off)
  *   EVRSIM_VALIDATE=mode    off | permissive | strict (see validate.hpp)
  *   EVRSIM_VALIDATE_SAMPLE=r image-identity audit tile sample rate
  *   EVRSIM_LOG=level        quiet | normal | verbose console verbosity
@@ -159,10 +152,9 @@ struct SweepStats {
     double sim_wall_ms = 0.0;   ///< summed per-simulation wall-clock
     double batch_wall_ms = 0.0; ///< summed runAll() wall-clock
     // Fault accounting:
-    std::uint64_t quarantined = 0; ///< corrupt cache entries set aside
+    std::uint64_t corrupt_entries = 0; ///< damaged cache entries re-simulated
     std::uint64_t retries = 0; ///< always 0; kept because simbench reads it
     std::uint64_t failed = 0;  ///< runs that failed
-    std::uint64_t corrupt_evicted = 0; ///< old .corrupt files evicted by the cap
     /** Jobs shed un-run because a cooperative shutdown (SIGINT/SIGTERM)
      *  arrived before they started. */
     std::uint64_t cancelled = 0;
@@ -176,15 +168,11 @@ class ExperimentRunner
 {
   public:
     /**
-     * @param factory creates workloads by alias
+     * @param factory creates workloads by alias; tests inject faults
+     *                by decorating it (failing or corrupting workloads)
      * @param params  bench parameters (cache policy, dimensions, jobs)
-     *
-     * Fault injection (EVRSIM_FAULT) is resolved from the environment;
-     * the three-argument overload takes an explicit plan for tests.
      */
     ExperimentRunner(WorkloadFactory factory, const BenchParams &params);
-    ExperimentRunner(WorkloadFactory factory, const BenchParams &params,
-                     const FaultPlan &faults);
 
     /**
      * Return the result of simulating @p alias under @p config for the
@@ -205,8 +193,9 @@ class ExperimentRunner
      * Duplicate requests are simulated once. Results are bit-identical
      * to issuing the same run() calls serially.
      *
-     * Fault tolerance: a corrupt cache entry is quarantined to
-     * `<entry>.<seq>.corrupt` and re-simulated; a failing run costs only
+     * Fault tolerance: a damaged cache entry is discarded and
+     * re-simulated, and the fresh result replaces it through the same
+     * atomic publish that writes every entry; a failing run costs only
      * its own slot, and is not retried (the simulator is deterministic,
      * so a retry fails the same way). Every finished run is published
      * to the cache as it completes, so an interrupted sweep that is run
@@ -242,9 +231,6 @@ class ExperimentRunner
     /** Snapshot of the sweep accounting so far. */
     SweepStats sweepStats() const;
 
-    /** Injection state (tests assert on draw/failure counts). */
-    const FaultInjector &faultInjector() const { return fault_; }
-
   private:
     /** A memoized run: filled once, then shared by every requester. */
     struct MemoEntry {
@@ -267,20 +253,15 @@ class ExperimentRunner
 
     /**
      * Load + validate one cache entry: NotFound on a plain miss,
-     * DataLoss on parse/schema/CRC/shape damage (caller quarantines).
+     * DataLoss on parse/schema/CRC/shape damage (caller re-simulates).
      */
     Result<RunResult> loadCacheEntry(const std::string &path);
-
-    /** Move a damaged entry aside (`<stem>.<seq>.corrupt`) so it is
-     *  never reused, evicting all but the newest kCorruptKeep copies. */
-    void quarantine(const std::string &path, const Status &why);
 
     /** Atomically publish @p r at @p path (failure is only a warn). */
     void storeCacheEntry(const std::string &path, const RunResult &r);
 
     WorkloadFactory factory_;
     BenchParams params_;
-    FaultInjector fault_;
 
     /** Sweep scheduler pool while runAllChecked is active (else null).
      *  Tile jobs (EVRSIM_TILE_JOBS) share it so one set of workers
@@ -302,10 +283,6 @@ class ExperimentRunner
  * v4: validation/degradation counters joined the persisted stats.
  */
 constexpr int kResultCacheVersion = 4;
-
-/** Newest quarantined `.corrupt` copies kept per cache entry; older
- *  ones are evicted so a damaged entry cannot pile up copies forever. */
-constexpr int kCorruptKeep = 3;
 
 } // namespace evrsim
 

@@ -148,18 +148,12 @@ printSweepSummary(const ExperimentRunner &runner)
                     "%.2fs wall\n",
                     s.batch_wall_ms / 1000.0);
     }
-    if (s.quarantined > 0 || s.failed > 0 || s.corrupt_evicted > 0) {
-        std::printf("sweep faults: %llu cache entr%s quarantined, "
-                    "%llu run(s) failed",
-                    static_cast<unsigned long long>(s.quarantined),
-                    s.quarantined == 1 ? "y" : "ies",
+    if (s.corrupt_entries > 0 || s.failed > 0)
+        std::printf("sweep faults: %llu corrupt cache entr%s "
+                    "re-simulated, %llu run(s) failed\n",
+                    static_cast<unsigned long long>(s.corrupt_entries),
+                    s.corrupt_entries == 1 ? "y" : "ies",
                     static_cast<unsigned long long>(s.failed));
-        if (s.corrupt_evicted > 0)
-            std::printf(", %llu old .corrupt file(s) evicted",
-                        static_cast<unsigned long long>(
-                            s.corrupt_evicted));
-        std::printf("\n");
-    }
     if (s.validate_violations > 0 || s.degraded_tiles > 0)
         std::printf("sweep degradations: %llu invariant violation(s), "
                     "%llu tile(s) degraded\n",
@@ -203,9 +197,8 @@ writeSweepSummaryJson(const ExperimentRunner &runner,
             secs > 0.0 ? s.frames_simulated / secs : 0.0);
     doc.set("avg_concurrency",
             s.batch_wall_ms > 0.0 ? s.sim_wall_ms / s.batch_wall_ms : 0.0);
-    doc.set("quarantined", s.quarantined);
+    doc.set("corrupt_entries", s.corrupt_entries);
     doc.set("failed", s.failed);
-    doc.set("corrupt_evicted", s.corrupt_evicted);
     doc.set("cancelled", s.cancelled);
     doc.set("degraded_tiles", s.degraded_tiles);
     doc.set("validate_violations", s.validate_violations);

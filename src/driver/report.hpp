@@ -73,9 +73,9 @@ void printFailureReport(const BatchOutcome &outcome);
 /**
  * Write the numbers printSweepSummary() prints — run accounting,
  * throughput, fault counters (including runs cancelled by a shutdown
- * signal) — plus the batch's failed runs as summary.json at @p path
- * (atomic tmp+rename): the one sweep-level file. Per-run numbers live
- * in the result-cache entries.
+ * signal) — plus the batch's failed runs as JSON at @p path (atomic
+ * tmp+rename): the one sweep-level file, `summary-<binary>.json` for a
+ * bench binary. Per-run numbers live in the result-cache entries.
  */
 Status writeSweepSummaryJson(const ExperimentRunner &runner,
                              const BatchOutcome &outcome,

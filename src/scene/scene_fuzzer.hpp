@@ -28,7 +28,7 @@
 
 namespace evrsim {
 
-/** Seeded scene mutator (SplitMix64 decisions, see fault_injector). */
+/** Seeded scene mutator (SplitMix64 decisions via mix64, common/rng.hpp). */
 class SceneFuzzer
 {
   public:

@@ -1,18 +1,17 @@
 /**
  * @file
  * Tests for the fault-tolerance layer: Status/Result propagation, strict
- * env-knob validation, the deterministic FaultInjector, JobPool
- * exception capture, durable atomic writes and the CRC32 envelope,
- * corrupt-cache quarantine + re-simulation and its `.corrupt` cap, the
- * cooperative job watchdog, failure reporting and memoization, and —
- * the load-bearing guarantee — that every run surviving a sweep with
- * failed runs is byte-identical to a clean run.
+ * env-knob validation, JobPool exception capture, durable atomic writes
+ * and the CRC32 envelope, corrupt-cache detection + re-simulation,
+ * failure reporting and memoization, and — the load-bearing guarantee —
+ * that every run surviving a sweep with failed runs is byte-identical
+ * to a clean run. Faults come from decorated WorkloadFactories and from
+ * real damage on disk.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -20,11 +19,9 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "common/atomic_file.hpp"
 #include "common/env.hpp"
-#include "common/fault_injector.hpp"
 #include "common/status.hpp"
 #include "driver/experiment.hpp"
 #include "common/job_pool.hpp"
@@ -52,8 +49,6 @@ TEST(Status, DefaultIsOkAndFactoriesCarryCodes)
     EXPECT_EQ(Status::invalidArgument("x").code(),
               ErrorCode::InvalidArgument);
     EXPECT_EQ(Status::notFound("x").code(), ErrorCode::NotFound);
-    EXPECT_EQ(Status::deadlineExceeded("x").code(),
-              ErrorCode::DeadlineExceeded);
     EXPECT_EQ(Status::internal("x").code(), ErrorCode::Internal);
 }
 
@@ -99,23 +94,6 @@ TEST(EnvKnobs, GarbageFramesIsFatalAndNamesTheVariable)
     unsetenv("EVRSIM_FRAMES");
 }
 
-TEST(EnvKnobs, NegativeTimeoutIsFatalAndNamesTheVariable)
-{
-    setenv("EVRSIM_JOB_TIMEOUT_MS", "-5", 1);
-    EXPECT_EXIT(benchParamsFromEnv(), ::testing::ExitedWithCode(1),
-                "EVRSIM_JOB_TIMEOUT_MS");
-    unsetenv("EVRSIM_JOB_TIMEOUT_MS");
-}
-
-TEST(EnvKnobs, TimeoutKnobIsParsed)
-{
-    unsetenv("EVRSIM_JOB_TIMEOUT_MS");
-    EXPECT_EQ(benchParamsFromEnv().job_timeout_ms, 0);
-    setenv("EVRSIM_JOB_TIMEOUT_MS", "1234", 1);
-    EXPECT_EQ(benchParamsFromEnv().job_timeout_ms, 1234);
-    unsetenv("EVRSIM_JOB_TIMEOUT_MS");
-}
-
 TEST(EnvKnobs, CheckedVariantPropagatesInsteadOfExiting)
 {
     setenv("EVRSIM_JOBS", "abc", 1);
@@ -124,77 +102,6 @@ TEST(EnvKnobs, CheckedVariantPropagatesInsteadOfExiting)
     EXPECT_EQ(p.status().code(), ErrorCode::InvalidArgument);
     EXPECT_NE(p.status().message().find("EVRSIM_JOBS"), std::string::npos);
     unsetenv("EVRSIM_JOBS");
-}
-
-// -------------------------------------------------------- FaultInjector --
-
-TEST(FaultInjector, ParsesSpecTriples)
-{
-    Result<FaultPlan> plan =
-        FaultInjector::parsePlan("cache-read:1:42,scene-mutate:0.25:7");
-    ASSERT_TRUE(plan.ok());
-    const FaultSpec &rd =
-        plan.value()[static_cast<int>(FaultSite::CacheRead)];
-    EXPECT_TRUE(rd.enabled);
-    EXPECT_DOUBLE_EQ(rd.rate, 1.0);
-    EXPECT_EQ(rd.seed, 42u);
-    const FaultSpec &wr =
-        plan.value()[static_cast<int>(FaultSite::CacheWrite)];
-    EXPECT_FALSE(wr.enabled);
-    const FaultSpec &ex =
-        plan.value()[static_cast<int>(FaultSite::SceneMutate)];
-    EXPECT_TRUE(ex.enabled);
-    EXPECT_DOUBLE_EQ(ex.rate, 0.25);
-}
-
-TEST(FaultInjector, RejectsMalformedSpecs)
-{
-    EXPECT_FALSE(FaultInjector::parsePlan("bogus-site:1:1").ok());
-    EXPECT_FALSE(FaultInjector::parsePlan("cache-read:1").ok());
-    EXPECT_FALSE(FaultInjector::parsePlan("cache-read:2:1").ok());
-    EXPECT_FALSE(FaultInjector::parsePlan("cache-read:1:-1").ok());
-    EXPECT_FALSE(FaultInjector::parsePlan("cache-read:x:1").ok());
-}
-
-TEST(FaultInjector, DrawsAreDeterministicInSeedAndCounter)
-{
-    Result<FaultPlan> plan = FaultInjector::parsePlan("scene-mutate:0.5:9");
-    ASSERT_TRUE(plan.ok());
-    FaultInjector a(plan.value());
-    FaultInjector b(plan.value());
-    for (int i = 0; i < 200; ++i)
-        EXPECT_EQ(a.shouldFail(FaultSite::SceneMutate),
-                  b.shouldFail(FaultSite::SceneMutate))
-            << "draw " << i << " diverged for identical plans";
-    EXPECT_EQ(a.draws(FaultSite::SceneMutate), 200u);
-    EXPECT_EQ(a.injected(FaultSite::SceneMutate),
-              b.injected(FaultSite::SceneMutate));
-}
-
-TEST(FaultInjector, RateZeroNeverFiresRateOneAlwaysFires)
-{
-    FaultPlan plan;
-    plan[static_cast<int>(FaultSite::CacheRead)] = {true, 0.0, 1};
-    plan[static_cast<int>(FaultSite::CacheWrite)] = {true, 1.0, 1};
-    FaultInjector inj(plan);
-    for (int i = 0; i < 100; ++i) {
-        EXPECT_FALSE(inj.shouldFail(FaultSite::CacheRead));
-        EXPECT_TRUE(inj.shouldFail(FaultSite::CacheWrite));
-        EXPECT_FALSE(inj.shouldFail(FaultSite::SceneMutate)); // disabled
-    }
-    EXPECT_EQ(inj.injected(FaultSite::CacheRead), 0u);
-    EXPECT_EQ(inj.injected(FaultSite::CacheWrite), 100u);
-    // A disabled site is a single branch: no draw is even recorded.
-    EXPECT_EQ(inj.draws(FaultSite::SceneMutate), 0u);
-    EXPECT_EQ(inj.injected(FaultSite::SceneMutate), 0u);
-}
-
-TEST(FaultInjector, MalformedEnvIsFatal)
-{
-    setenv("EVRSIM_FAULT", "cache-read", 1);
-    EXPECT_EXIT(FaultInjector::planFromEnv(),
-                ::testing::ExitedWithCode(1), "EVRSIM_FAULT");
-    unsetenv("EVRSIM_FAULT");
 }
 
 // -------------------------------------------- JobPool fault isolation --
@@ -325,26 +232,6 @@ class ThrowingWorkload : public TinyWorkload
     }
 };
 
-/** TinyWorkload whose frames take >= @p ms wall-clock each. */
-class SlowWorkload : public TinyWorkload
-{
-  public:
-    SlowWorkload(std::string alias, int w, int h, int ms)
-        : TinyWorkload(std::move(alias), w, h), ms_(ms)
-    {
-    }
-
-    Scene
-    frame(int index) override
-    {
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
-        return TinyWorkload::frame(index);
-    }
-
-  private:
-    int ms_;
-};
-
 WorkloadFactory
 tinyFactory()
 {
@@ -408,14 +295,6 @@ dumps(const std::vector<RunResult> &results)
     for (const RunResult &r : results)
         out.push_back(r.toJson(false).dump(2));
     return out;
-}
-
-FaultPlan
-planFor(FaultSite site, double rate, std::uint64_t seed)
-{
-    FaultPlan plan;
-    plan[static_cast<int>(site)] = {true, rate, seed};
-    return plan;
 }
 
 /** Fresh temp cache dir for one test. */
@@ -530,9 +409,9 @@ TEST(Envelope, SchemaMismatchAndDamageAreDataLoss)
     EXPECT_EQ(bad.status().code(), ErrorCode::DataLoss);
 }
 
-// ------------------------------------- corrupt-cache fuzz + quarantine --
+// --------------------------------- corrupt-cache fuzz + re-simulation --
 
-TEST(CorruptCache, DamagedEntriesAreQuarantinedAndResimulated)
+TEST(CorruptCache, DamagedEntriesAreDiscardedAndResimulated)
 {
     std::filesystem::path dir = freshCacheDir("evrsim_fault_cache_fuzz");
     std::vector<RunRequest> reqs = tinyBatch(tinyParams(1).gpuConfig());
@@ -540,15 +419,14 @@ TEST(CorruptCache, DamagedEntriesAreQuarantinedAndResimulated)
     // Reference sweep: warm the cache and record the canonical bytes.
     std::vector<std::string> want;
     {
-        ExperimentRunner warm(tinyFactory(), tinyParams(1, dir.string()),
-                              FaultPlan{});
+        ExperimentRunner warm(tinyFactory(), tinyParams(1, dir.string()));
         want = dumps(warm.runAll(reqs));
     }
     std::vector<std::filesystem::path> entries = cacheEntries(dir, ".json");
     ASSERT_EQ(entries.size(), reqs.size());
 
-    // Fuzz modes, one per entry: truncation, value-level bit damage,
-    // stale schema version, and a tampered checksum field.
+    // Damage modes: truncation, value-level bit damage, stale schema
+    // version, a tampered checksum field, and every entry at once.
     auto truncate = [](const std::filesystem::path &p) {
         std::string text = slurp(p);
         spit(p, text.substr(0, text.size() / 2));
@@ -571,127 +449,84 @@ TEST(CorruptCache, DamagedEntriesAreQuarantinedAndResimulated)
                 doc.find("payload_crc32")->asU64() ^ 0xdeadbeefu);
         spit(p, doc.dump(1));
     };
-    std::vector<std::function<void(const std::filesystem::path &)>> modes =
-        {truncate, bitflip, schema_bump, crc_tamper};
+    using Damage = std::function<void(const std::filesystem::path &)>;
+    std::vector<std::vector<std::pair<std::size_t, Damage>>> rounds = {
+        {{0, truncate}}, {{1, bitflip}}, {{2, schema_bump}},
+        {{3, crc_tamper}}};
+    rounds.emplace_back();
+    for (std::size_t e = 0; e < entries.size(); ++e)
+        rounds.back().push_back(
+            {e, e % 2 ? Damage(bitflip) : Damage(truncate)});
 
-    for (std::size_t m = 0; m < modes.size(); ++m) {
-        SCOPED_TRACE("fuzz mode " + std::to_string(m));
-        modes[m](entries[m]);
+    for (std::size_t m = 0; m < rounds.size(); ++m) {
+        SCOPED_TRACE("damage round " + std::to_string(m));
+        for (const auto &[e, damage] : rounds[m])
+            damage(entries[e]);
 
-        ExperimentRunner runner(tinyFactory(),
-                                tinyParams(1, dir.string()), FaultPlan{});
+        ExperimentRunner runner(tinyFactory(), tinyParams(1, dir.string()));
         std::vector<std::string> got = dumps(runner.runAll(reqs));
         EXPECT_EQ(got, want)
             << "re-simulated results diverged from the clean sweep";
 
+        // Only the damaged entries were re-simulated.
         SweepStats stats = runner.sweepStats();
-        EXPECT_EQ(stats.quarantined, 1u);
-        EXPECT_EQ(stats.simulated, 1u); // only the damaged entry
-        EXPECT_EQ(stats.disk_hits, reqs.size() - 1);
+        EXPECT_EQ(stats.corrupt_entries, rounds[m].size());
+        EXPECT_EQ(stats.simulated, rounds[m].size());
+        EXPECT_EQ(stats.disk_hits, reqs.size() - rounds[m].size());
 
-        // The damaged bytes were set aside, and the slot re-published.
-        std::vector<std::filesystem::path> corrupt =
-            cacheEntries(dir, ".corrupt");
-        ASSERT_EQ(corrupt.size(), 1u);
-        EXPECT_EQ(cacheEntries(dir, ".json").size(), reqs.size());
-        std::filesystem::remove(corrupt[0]);
+        // The fresh results replaced the damaged bytes in place: the
+        // directory holds exactly the entries, no evidence copies.
+        std::size_t files = 0;
+        for (const auto &f : std::filesystem::directory_iterator(dir)) {
+            EXPECT_EQ(f.path().extension(), ".json") << f.path();
+            ++files;
+        }
+        EXPECT_EQ(files, reqs.size());
     }
-    std::filesystem::remove_all(dir);
-}
-
-TEST(CorruptCache, CacheReadInjectionQuarantinesEverythingAndRecovers)
-{
-    std::filesystem::path dir = freshCacheDir("evrsim_fault_cache_read");
-    std::vector<RunRequest> reqs = tinyBatch(tinyParams(1).gpuConfig());
-
-    std::vector<std::string> want;
-    {
-        ExperimentRunner warm(tinyFactory(), tinyParams(1, dir.string()),
-                              FaultPlan{});
-        want = dumps(warm.runAll(reqs));
-    }
-
-    ExperimentRunner faulty(tinyFactory(), tinyParams(1, dir.string()),
-                            planFor(FaultSite::CacheRead, 1.0, 42));
-    EXPECT_EQ(dumps(faulty.runAll(reqs)), want);
-    SweepStats stats = faulty.sweepStats();
-    EXPECT_EQ(stats.quarantined, reqs.size());
-    EXPECT_EQ(stats.simulated, reqs.size());
-    EXPECT_EQ(stats.disk_hits, 0u);
-    EXPECT_EQ(faulty.faultInjector().injected(FaultSite::CacheRead),
-              reqs.size());
 
     // Recovery re-published every entry: a clean runner is warm again.
-    ExperimentRunner again(tinyFactory(), tinyParams(1, dir.string()),
-                           FaultPlan{});
+    ExperimentRunner again(tinyFactory(), tinyParams(1, dir.string()));
     EXPECT_EQ(dumps(again.runAll(reqs)), want);
     EXPECT_EQ(again.sweepStats().disk_hits, reqs.size());
+    EXPECT_EQ(again.sweepStats().corrupt_entries, 0u);
     std::filesystem::remove_all(dir);
 }
 
-TEST(CorruptCache, CacheWriteInjectionPublishesNothingButStillAnswers)
+TEST(CorruptCache, UnpublishableCacheDirStillAnswers)
 {
-    std::filesystem::path dir = freshCacheDir("evrsim_fault_cache_write");
+    // A cache dir below a regular file cannot be created or written,
+    // whatever the process's privileges: every publish fails.
+    std::filesystem::path dir = freshDir("evrsim_fault_cache_write");
+    spit(dir / "file", "not a directory");
+    std::string cache_dir = (dir / "file" / "cache").string();
     std::vector<RunRequest> reqs = tinyBatch(tinyParams(1).gpuConfig());
 
     std::vector<std::string> want;
     {
-        ExperimentRunner clean(tinyFactory(), tinyParams(1), FaultPlan{});
+        ExperimentRunner clean(tinyFactory(), tinyParams(1));
         want = dumps(clean.runAll(reqs));
     }
 
-    ExperimentRunner faulty(tinyFactory(), tinyParams(1, dir.string()),
-                            planFor(FaultSite::CacheWrite, 1.0, 42));
+    ExperimentRunner faulty(tinyFactory(), tinyParams(1, cache_dir));
     EXPECT_EQ(dumps(faulty.runAll(reqs)), want);
-    EXPECT_TRUE(cacheEntries(dir, ".json").empty());
-    EXPECT_TRUE(cacheEntries(dir, ".tmp").empty());
+    EXPECT_EQ(faulty.sweepStats().simulated, reqs.size());
+    EXPECT_EQ(faulty.sweepStats().failed, 0u);
+    std::vector<std::string> left;
+    for (const auto &f : std::filesystem::directory_iterator(dir))
+        left.push_back(f.path().filename().string());
+    EXPECT_EQ(left, std::vector<std::string>{"file"});
+    EXPECT_EQ(slurp(dir / "file"), "not a directory");
     std::filesystem::remove_all(dir);
 }
 
-// ------------------------------------------------- corrupt-file cap ----
-
-TEST(CorruptCap, KeepsNewestCopiesAndCountsEvictions)
-{
-    std::filesystem::path dir = freshDir("evrsim_corrupt_cap");
-    BenchParams p = tinyParams(1, dir.string());
-    SimConfig cfg = SimConfig::baseline(p.gpuConfig());
-
-    std::string key;
-    std::uint64_t last_evicted = 0;
-    for (int round = 0; round < kCorruptKeep + 2; ++round) {
-        ExperimentRunner runner(tinyFactory(), p);
-        key = runner.jobKey("fz-a", cfg);
-        // Damage the published entry, then re-run: the load detects
-        // DataLoss, quarantines, and re-simulates.
-        std::ofstream((dir / key).string()) << "{damaged";
-        ASSERT_TRUE(runner.tryRun("fz-a", cfg).ok());
-        EXPECT_EQ(runner.sweepStats().quarantined, 1u);
-        last_evicted = runner.sweepStats().corrupt_evicted;
-    }
-
-    // kCorruptKeep + 2 quarantines: only the newest kCorruptKeep
-    // sequence numbers live.
-    std::vector<std::string> corrupt;
-    for (const auto &e : std::filesystem::directory_iterator(dir))
-        if (e.path().extension() == ".corrupt")
-            corrupt.push_back(e.path().filename().string());
-    std::sort(corrupt.begin(), corrupt.end());
-    std::vector<std::string> want;
-    for (int seq = 2; seq < kCorruptKeep + 2; ++seq)
-        want.push_back(key + "." + std::to_string(seq) + ".corrupt");
-    EXPECT_EQ(corrupt, want);
-    EXPECT_EQ(last_evicted, 1u); // each later round evicts its oldest
-    std::filesystem::remove_all(dir);
-}
-
-// --------------------------------------- watchdog, failure reporting --
+// -------------------------------------------------- failure reporting --
 
 TEST(FaultRecovery, PermanentFailureIsBoundedAndReported)
 {
     std::vector<RunRequest> reqs = tinyBatch(tinyParams(1).gpuConfig());
     std::atomic<int> builds{0};
     ExperimentRunner runner(failingFactory({"fz-a", "fz-b"}, &builds),
-                            tinyParams(1), FaultPlan{});
+                            tinyParams(1));
 
     BatchOutcome outcome = runner.runAllChecked(reqs);
     EXPECT_FALSE(outcome.ok());
@@ -718,47 +553,21 @@ TEST(FaultRecovery, PermanentFailureIsBoundedAndReported)
 
 TEST(FaultRecovery, RunExitsOnPermanentFailure)
 {
-    ExperimentRunner runner(failingFactory({"fz-a"}), tinyParams(1),
-                            FaultPlan{});
+    ExperimentRunner runner(failingFactory({"fz-a"}), tinyParams(1));
     SimConfig cfg = SimConfig::baseline(tinyParams(1).gpuConfig());
 
     Result<RunResult> r = runner.tryRun("fz-a", cfg);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), ErrorCode::Internal);
 
-    ExperimentRunner fatal_runner(failingFactory({"fz-a"}), tinyParams(1),
-                                  FaultPlan{});
+    ExperimentRunner fatal_runner(failingFactory({"fz-a"}), tinyParams(1));
     EXPECT_EXIT(fatal_runner.run("fz-a", cfg),
                 ::testing::ExitedWithCode(1), "fz-a/baseline failed");
 }
 
-TEST(FaultRecovery, WatchdogCutsOffSlowJobsWithoutRetry)
-{
-    WorkloadFactory factory = [](const std::string &alias, int w,
-                                 int h) -> std::unique_ptr<Workload> {
-        if (alias != "fz-a")
-            return nullptr;
-        return std::make_unique<SlowWorkload>(alias, w, h, 25);
-    };
-    BenchParams params = tinyParams(1);
-    params.job_timeout_ms = 1;
-    ExperimentRunner runner(factory, params, FaultPlan{});
-
-    Result<RunResult> r =
-        runner.tryRun("fz-a", SimConfig::baseline(params.gpuConfig()));
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), ErrorCode::DeadlineExceeded);
-    EXPECT_NE(r.status().message().find("EVRSIM_JOB_TIMEOUT_MS"),
-              std::string::npos);
-
-    SweepStats stats = runner.sweepStats();
-    EXPECT_EQ(stats.failed, 1u);
-    EXPECT_EQ(stats.retries, 0u); // failed runs are never retried
-}
-
 TEST(FaultRecovery, UnknownAliasIsNotFoundNotRetried)
 {
-    ExperimentRunner runner(tinyFactory(), tinyParams(1), FaultPlan{});
+    ExperimentRunner runner(tinyFactory(), tinyParams(1));
     Result<RunResult> r = runner.tryRun(
         "no-such-alias", SimConfig::baseline(tinyParams(1).gpuConfig()));
     ASSERT_FALSE(r.ok());
@@ -770,7 +579,7 @@ TEST(FaultRecovery, FailuresAreMemoizedNotRetriedPerRequester)
 {
     std::atomic<int> builds{0};
     ExperimentRunner runner(failingFactory({"fz-a"}, &builds),
-                            tinyParams(1), FaultPlan{});
+                            tinyParams(1));
     SimConfig cfg = SimConfig::baseline(tinyParams(1).gpuConfig());
 
     EXPECT_FALSE(runner.tryRun("fz-a", cfg).ok());
@@ -787,13 +596,12 @@ TEST(FaultRecovery, SurvivorsOfAFaultySweepMatchTheCleanRun)
 {
     std::vector<RunRequest> reqs = tinyBatch(tinyParams(1).gpuConfig());
 
-    ExperimentRunner clean(tinyFactory(), tinyParams(1), FaultPlan{});
+    ExperimentRunner clean(tinyFactory(), tinyParams(1));
     std::vector<std::string> want = dumps(clean.runAll(reqs));
 
     // One workload is broken: its runs fail, the rest must be
     // byte-identical to the clean sweep.
-    ExperimentRunner faulty(failingFactory({"fz-b"}), tinyParams(1),
-                            FaultPlan{});
+    ExperimentRunner faulty(failingFactory({"fz-b"}), tinyParams(1));
     BatchOutcome outcome = faulty.runAllChecked(reqs);
     ASSERT_EQ(outcome.results.size(), reqs.size());
 
@@ -818,8 +626,7 @@ TEST(FaultRecovery, SurvivorsOfAFaultySweepMatchTheCleanRun)
     EXPECT_EQ(survivors, 3u);
 
     // Deterministic: the same workloads fail the same runs.
-    ExperimentRunner replay(failingFactory({"fz-b"}), tinyParams(1),
-                            FaultPlan{});
+    ExperimentRunner replay(failingFactory({"fz-b"}), tinyParams(1));
     BatchOutcome outcome2 = replay.runAllChecked(reqs);
     ASSERT_EQ(outcome2.failures.size(), outcome.failures.size());
     for (std::size_t i = 0; i < outcome.failures.size(); ++i)

@@ -61,7 +61,7 @@ simulateGolden()
              {SimConfig::baseline(gpu), SimConfig::evr(gpu)})
             requests.push_back({alias, config});
 
-    ExperimentRunner runner(workloads::factory(), p, FaultPlan{});
+    ExperimentRunner runner(workloads::factory(), p);
     BatchOutcome out = runner.runAllChecked(requests);
     for (const RunFailure &f : out.failures)
         ADD_FAILURE() << "simulation failed: " << f.alias;

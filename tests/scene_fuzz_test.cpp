@@ -11,9 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 
+#include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "driver/experiment.hpp"
+#include "driver/json.hpp"
 #include "scene/scene_fuzzer.hpp"
 #include "scene/scene_validate.hpp"
 #include "support.hpp"
@@ -222,10 +228,11 @@ TEST(SceneFuzz, GarbageSignaturesNeverCorruptTheImage)
 
 TEST(SceneFuzz, SceneMutateFaultSiteThroughExperimentRunner)
 {
-    // End-to-end: EVRSIM_FAULT=scene-mutate corrupts workload frames
-    // inside the runner; permissive validation sanitizes them; baseline
-    // and EVR runs of the same workload still agree bit-for-bit because
-    // the corruption is keyed by (alias, frame), not by config.
+    // End-to-end: a CorruptingWorkload corrupts every frame of the
+    // workload inside the runner; permissive validation sanitizes them;
+    // baseline and EVR runs of the same workload still agree
+    // bit-for-bit because the corruption is keyed by (alias, frame),
+    // not by config.
     BenchParams params;
     params.width = 128;
     params.height = 96;
@@ -235,10 +242,9 @@ TEST(SceneFuzz, SceneMutateFaultSiteThroughExperimentRunner)
     params.jobs = 1;
     params.validation = permissive(0.25);
 
-    FaultPlan plan{};
-    plan[static_cast<int>(FaultSite::SceneMutate)] = {true, 1.0, 42};
-
-    ExperimentRunner runner(workloads::factory(), params, plan);
+    WorkloadFactory factory =
+        corruptingFactory(workloads::factory(), {"ctr"}, 42);
+    ExperimentRunner runner(factory, params);
     GpuConfig gpu = params.gpuConfig();
 
     Result<RunResult> base = runner.tryRun("ctr", SimConfig::baseline(gpu));
@@ -246,17 +252,15 @@ TEST(SceneFuzz, SceneMutateFaultSiteThroughExperimentRunner)
     ASSERT_TRUE(base.ok()) << base.status().message();
     ASSERT_TRUE(evr.ok()) << evr.status().message();
 
-    EXPECT_GT(runner.faultInjector().injected(FaultSite::SceneMutate), 0u);
     EXPECT_GT(base.value().totals.validate_scene_issues, 0u);
     EXPECT_EQ(base.value().image_crc, evr.value().image_crc);
 
     // The same corrupted stream under strict validation must fail the
-    // run with a structured Status (no abort, no retry burn: scene
-    // damage is not transient).
+    // run with a structured Status (no abort, no retry: scene damage
+    // is deterministic).
     BenchParams strict_params = params;
     strict_params.validation.mode = ValidateMode::Strict;
-    ExperimentRunner strict_runner(workloads::factory(), strict_params,
-                                   plan);
+    ExperimentRunner strict_runner(factory, strict_params);
     Result<RunResult> failed =
         strict_runner.tryRun("ctr", SimConfig::baseline(gpu));
     ASSERT_FALSE(failed.ok());
@@ -288,4 +292,129 @@ TEST(SceneFuzz, SweepReportCarriesDegradationCounters)
     EXPECT_EQ(stats.validate_violations,
               r.value().totals.validate_violations);
     EXPECT_EQ(stats.validate_violations, 0u); // sound pipeline
+}
+
+// ------------------------------------- corrupted bench sweeps in process --
+
+namespace {
+
+/** Every Table III alias, in registry order. */
+std::set<std::string>
+allAliasSet()
+{
+    const std::vector<std::string> &all = workloads::allAliases();
+    return {all.begin(), all.end()};
+}
+
+/** The registry with @p corrupted aliases' frames all corrupted. */
+WorkloadFactory
+corruptedRegistry(const std::set<std::string> &corrupted)
+{
+    return corruptingFactory(workloads::factory(), corrupted, 9);
+}
+
+/** A bench sweep's parameters at 1 frame, 0 warm-up and no
+ *  image-identity sampling. */
+BenchParams
+sweepParams(ValidateMode mode, const std::string &cache_dir = "")
+{
+    BenchParams p;
+    p.frames = 1;
+    p.warmup = 0;
+    p.use_cache = !cache_dir.empty();
+    p.cache_dir = cache_dir;
+    p.heartbeat_ms = 0;
+    p.validation.mode = mode;
+    p.validation.tile_sample_rate = 0.0;
+    return p;
+}
+
+/** Declare and prefetch every alias x {baseline, evr}, as the figure
+ *  binaries do. */
+void
+sweep(bench::BenchContext &ctx)
+{
+    ctx.needForAllWorkloads(
+        {SimConfig::baseline(ctx.gpu()), SimConfig::evr(ctx.gpu())});
+    ctx.prefetch();
+}
+
+} // namespace
+
+TEST(BenchContext, EveryFrameCorruptedPermissiveDegradesAndCompletes)
+{
+    std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "evrsim_fuzz_sweep";
+    std::filesystem::remove_all(dir);
+    bench::BenchContext ctx(
+        corruptedRegistry(allAliasSet()),
+        sweepParams(ValidateMode::Permissive, dir.string()));
+    sweep(ctx);
+
+    ASSERT_TRUE(ctx.outcome.ok());
+    EXPECT_EQ(ctx.exitCode(), 0);
+    const std::vector<std::string> &all = workloads::allAliases();
+    ASSERT_EQ(ctx.outcome.results.size(), 2 * all.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        SCOPED_TRACE(all[i]);
+        const RunResult &base = ctx.outcome.results[2 * i];
+        const RunResult &evr = ctx.outcome.results[2 * i + 1];
+        EXPECT_GT(base.totals.validate_scene_issues, 0u);
+        EXPECT_GT(evr.totals.validate_scene_issues, 0u);
+        EXPECT_EQ(base.image_crc, evr.image_crc);
+    }
+
+    // The sweep summary is named after the binary, so a regeneration
+    // loop keeps one file per binary instead of overwriting one.
+    std::ifstream in(dir / "summary-scene_fuzz_test.json");
+    ASSERT_TRUE(in.good());
+    std::ostringstream text;
+    text << in.rdbuf();
+    Json doc = Json::parseOrDie(text.str());
+    EXPECT_EQ(doc.at("simulated").asU64(), 2 * all.size());
+    EXPECT_EQ(doc.at("failed").asU64(), 0u);
+    EXPECT_FALSE(std::filesystem::exists(dir / "summary.json"));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(BenchContext, EveryFrameCorruptedStrictFailsEveryRun)
+{
+    bench::BenchContext ctx(corruptedRegistry(allAliasSet()),
+                            sweepParams(ValidateMode::Strict));
+    sweep(ctx);
+
+    ASSERT_EQ(ctx.outcome.failures.size(), ctx.plan.size());
+    for (const RunFailure &f : ctx.outcome.failures)
+        EXPECT_EQ(f.status.code(), ErrorCode::InvalidArgument)
+            << f.alias << "/" << f.config << ": " << f.status.toString();
+    EXPECT_EQ(ctx.exitCode(), 1);
+    EXPECT_TRUE(ctx.aliases().empty());
+}
+
+TEST(BenchContext, StrictHalfCorruptedKeepsTheCleanHalf)
+{
+    const std::vector<std::string> &all = workloads::allAliases();
+    std::set<std::string> corrupted;
+    std::vector<std::string> clean;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        if (i % 2 == 0)
+            corrupted.insert(all[i]);
+        else
+            clean.push_back(all[i]);
+    }
+    bench::BenchContext ctx(corruptedRegistry(corrupted),
+                            sweepParams(ValidateMode::Strict));
+    sweep(ctx);
+
+    EXPECT_EQ(ctx.outcome.failures.size(), 2 * corrupted.size());
+    EXPECT_EQ(ctx.exitCode(), 1);
+    ASSERT_EQ(ctx.aliases(), clean);
+    // The table loops' run() calls are memo hits for every survivor.
+    for (const std::string &alias : ctx.aliases()) {
+        RunResult base = ctx.runner.run(alias, SimConfig::baseline(ctx.gpu()));
+        RunResult evr = ctx.runner.run(alias, SimConfig::evr(ctx.gpu()));
+        EXPECT_EQ(base.workload, alias);
+        EXPECT_EQ(evr.workload, alias);
+    }
+    EXPECT_EQ(ctx.runner.sweepStats().memo_hits, 2 * clean.size());
 }

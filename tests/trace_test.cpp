@@ -411,8 +411,7 @@ TEST_F(TraceTest, SmokeSweepProducesAllObservabilityArtifacts)
         {"memo_hits", stats.memo_hits},
         {"frames_simulated", stats.frames_simulated},
         {"failed", stats.failed},
-        {"quarantined", stats.quarantined},
-        {"corrupt_evicted", stats.corrupt_evicted},
+        {"corrupt_entries", stats.corrupt_entries},
         {"cancelled", stats.cancelled},
         {"degraded_tiles", stats.degraded_tiles},
         {"validate_violations", stats.validate_violations},
